@@ -44,9 +44,7 @@ from dataclasses import replace
 from typing import Optional, Sequence
 
 from repro.config import (
-    BACKENDS,
     INCREMENTAL_MODES,
-    RECORD_TRANSPORTS,
     WATCHDOG_STAGES,
     ExecutionConfig,
     FleetConfig,
@@ -72,7 +70,6 @@ def _thor_config(args: argparse.Namespace) -> ThorConfig:
         config = replace(
             config, clustering=replace(config.clustering, top_m=args.top_m)
         )
-    backend = getattr(args, "backend", None)
     jobs = getattr(args, "jobs", None)
     cache_dir = getattr(args, "cache_dir", None)
     no_artifact_cache = getattr(args, "no_artifact_cache", False)
@@ -86,11 +83,9 @@ def _thor_config(args: argparse.Namespace) -> ThorConfig:
         else None
     )
     min_surviving = getattr(args, "min_surviving_fraction", None)
-    record_transport = getattr(args, "record_transport", None)
     distance_memo = getattr(args, "distance_memo_entries", None)
     if (
-        backend is not None
-        or jobs is not None
+        jobs is not None
         or cache_dir is not None
         or no_artifact_cache
         or no_recovery
@@ -98,14 +93,12 @@ def _thor_config(args: argparse.Namespace) -> ThorConfig:
         or stage_timeout_s is not None
         or stage_timeouts is not None
         or min_surviving is not None
-        or record_transport is not None
         or distance_memo is not None
     ):
         defaults = ExecutionConfig()
         config = replace(
             config,
             execution=ExecutionConfig(
-                backend=backend,
                 n_jobs=1 if jobs is None else jobs,
                 cache_dir=cache_dir,
                 artifact_cache="off" if no_artifact_cache else "on",
@@ -118,9 +111,6 @@ def _thor_config(args: argparse.Namespace) -> ThorConfig:
                 min_surviving_fraction=defaults.min_surviving_fraction
                 if min_surviving is None
                 else min_surviving,
-                record_transport=defaults.record_transport
-                if record_transport is None
-                else record_transport,
                 distance_memo_entries=defaults.distance_memo_entries
                 if distance_memo is None
                 else distance_memo,
@@ -672,10 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
     # (extract/demo/search); they land on ThorConfig.execution.
     execution = argparse.ArgumentParser(add_help=False)
     execution.add_argument(
-        "--backend", choices=list(BACKENDS), default=None,
-        help="compute backend (default: numpy when available)",
-    )
-    execution.add_argument(
         "--jobs", type=int, default=None,
         help="worker processes for clustering restarts and Phase-2 "
              "page analysis (default 1 = serial, 0 = one per core)",
@@ -718,13 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="min_surviving_fraction",
         help="abort extraction when fewer than this fraction of pages "
              "survives the quarantine scan (default 0.5)",
-    )
-    execution.add_argument(
-        "--record-transport", choices=list(RECORD_TRANSPORTS), default=None,
-        dest="record_transport",
-        help="wire format for Phase-2 records crossing process "
-             "boundaries (default columnar; pickle is the uncompressed "
-             "baseline)",
     )
     execution.add_argument(
         "--distance-memo-entries", type=int, default=None,

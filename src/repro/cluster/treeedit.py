@@ -10,26 +10,27 @@ program so the cost comparison can be reproduced honestly.
 Complexity is O(|T1|·|T2|·min(depth,leaves)²) time, which is exactly
 why the paper rejects it as a page-clustering similarity.
 
-Two compute backends share the keyroot driver (see
-:func:`repro.config.resolve_backend`): the scalar reference DP, and a
-``numpy`` kernel that vectorizes each forest-DP row the way
+The keyroot loop is hybrid: wide keyroot forests run a kernel that
+vectorizes each forest-DP row the way
 :func:`repro.vsm.matrix._levenshtein_rowwise` vectorizes Levenshtein —
 the deletion/substitution/subtree terms become array ops and the
 sequential insertion recurrence collapses into one
-``np.minimum.accumulate`` over cost-offset values. With the default
-unit costs every intermediate is a small integer, exact in float64, so
-the two backends agree bitwise.
+``np.minimum.accumulate`` over cost-offset values — while narrow ones
+stay on the scalar forest DP. With the default unit costs every
+intermediate is a small integer, exact in float64, so the result
+equals the all-scalar DP (the test suite's oracle) bitwise.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional, Union
 
-from repro.config import BackendSelection, resolve_backend
+import numpy as np
+
 from repro.html.tree import Node, TagNode, TagTree
 
 #: Minimum forest width (columns) for a keyroot pair to run the
-#: vectorized row kernel under the numpy backend; narrower forests —
+#: vectorized row kernel; narrower forests —
 #: the long tail of keyroot pairs — stay on the scalar DP, whose
 #: per-cell cost beats numpy's per-row dispatch overhead there. Same
 #: idea as ``repro.vsm.matrix._SCALAR_DP_AREA`` for Levenshtein.
@@ -97,18 +98,12 @@ def tree_edit_distance(
     relabel_cost: Optional[Callable[[str, str], float]] = None,
     insert_cost: float = 1.0,
     delete_cost: float = 1.0,
-    backend: BackendSelection = None,
 ) -> float:
     """Minimum-cost edit script (insert/delete/relabel) between trees.
 
     Nodes are labeled by tag name (content leaves collapse to
     ``#text``), matching the structural focus of the comparison in the
     paper. ``relabel_cost`` defaults to 0/1 (same/different label).
-
-    ``backend`` selects the DP kernel: ``"python"`` (scalar oracle) or
-    ``"numpy"`` (hybrid: row-vectorized forest DP on wide keyroot
-    forests, scalar on the narrow tail); ``None`` auto-resolves via
-    :func:`repro.config.resolve_backend`.
 
     >>> from repro.html import parse
     >>> t1 = parse("<html><body><p>x</p></body></html>")
@@ -119,22 +114,13 @@ def tree_edit_distance(
     root_a = a.root if isinstance(a, TagTree) else a
     root_b = b.root if isinstance(b, TagTree) else b
 
-    ta = _AnnotatedTree(root_a)
-    tb = _AnnotatedTree(root_b)
-    size_a, size_b = len(ta), len(tb)
-    if resolve_backend(backend) == "numpy":
-        return _tree_edit_numpy(
-            ta, tb, relabel_cost, insert_cost, delete_cost
-        )
-    if relabel_cost is None:
-        relabel_cost = lambda x, y: 0.0 if x == y else 1.0  # noqa: E731
-    treedist = [[0.0] * size_b for _ in range(size_a)]
-    for i in ta.keyroots:
-        for j in tb.keyroots:
-            _compute_treedist(
-                ta, tb, i, j, treedist, relabel_cost, insert_cost, delete_cost
-            )
-    return treedist[size_a - 1][size_b - 1]
+    return _tree_edit_hybrid(
+        _AnnotatedTree(root_a),
+        _AnnotatedTree(root_b),
+        relabel_cost,
+        insert_cost,
+        delete_cost,
+    )
 
 
 def _compute_treedist(
@@ -179,7 +165,7 @@ def _compute_treedist(
                 )
 
 
-def _tree_edit_numpy(
+def _tree_edit_hybrid(
     ta: _AnnotatedTree,
     tb: _AnnotatedTree,
     relabel_cost: Optional[Callable[[str, str], float]],
@@ -199,8 +185,6 @@ def _tree_edit_numpy(
     table built once over the (few, repeated) unique tag labels rather
     than called per node pair.
     """
-    import numpy as np
-
     size_a, size_b = len(ta), len(tb)
     unique = sorted(set(ta.labels) | set(tb.labels))
     index = {label: position for position, label in enumerate(unique)}
@@ -238,7 +222,6 @@ def _tree_edit_numpy(
                 )
             else:
                 _vector_pair(
-                    np,
                     ta,
                     tb,
                     i,
@@ -254,7 +237,6 @@ def _tree_edit_numpy(
 
 
 def _vector_pair(
-    np,
     ta: _AnnotatedTree,
     tb: _AnnotatedTree,
     i: int,
@@ -320,9 +302,7 @@ def _vector_pair(
 
 
 def normalized_tree_edit_distance(
-    a: Union[TagTree, TagNode],
-    b: Union[TagTree, TagNode],
-    backend: BackendSelection = None,
+    a: Union[TagTree, TagNode], b: Union[TagTree, TagNode]
 ) -> float:
     """Tree edit distance scaled by the larger tree size into [0, 1]."""
     root_a = a.root if isinstance(a, TagTree) else a
@@ -330,4 +310,4 @@ def normalized_tree_edit_distance(
     largest = max(root_a.size(), root_b.size())
     if largest == 0:
         return 0.0
-    return tree_edit_distance(root_a, root_b, backend=backend) / largest
+    return tree_edit_distance(root_a, root_b) / largest

@@ -15,26 +15,15 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.resilience.faults import FaultPlan
 
-#: Valid compute backends: "numpy" is the vectorized matrix backend
-#: (:mod:`repro.vsm.matrix`), "python" the pure-python reference
-#: implementation kept as the correctness oracle.
-BACKENDS = ("python", "numpy")
-
 #: Valid :class:`ExecutionConfig` cache policies.
 CACHE_POLICIES = ("on", "off")
-
-#: Valid cross-process record transports: "columnar" ships candidate
-#: records as compressed numpy column bundles (npz bytes), "pickle"
-#: ships the record objects themselves (the pre-columnar baseline,
-#: and the fallback on numpy-less machines).
-RECORD_TRANSPORTS = ("columnar", "pickle")
 
 
 #: Pipeline stages a watchdog deadline can be set for.
@@ -68,26 +57,19 @@ class StageTimeouts:
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """How the pipeline computes: backend, parallelism, caching.
+    """How the pipeline computes: parallelism and caching.
 
     One object answers the *how* questions every stage used to answer
-    separately: which compute kernels run (``backend``), how many
-    worker processes fan restarts and per-page Phase-2 analysis out
-    (``n_jobs``), whether interned
+    separately: how many worker processes fan restarts and per-page
+    Phase-2 analysis out (``n_jobs``), whether interned
     :class:`~repro.vsm.matrix.VectorSpace` builds are reused across
     calls over the same collection (``cache``), and whether expensive
     intermediates persist across *processes* in an on-disk artifact
     store (``cache_dir`` / ``artifact_cache`` —
-    :mod:`repro.artifacts`). Every entry point that accepts a
-    ``backend`` argument also accepts a full ``ExecutionConfig`` in
-    its place.
+    :mod:`repro.artifacts`). Every pipeline stage takes one as its
+    ``execution`` argument. None of these settings changes a result.
     """
 
-    #: Compute backend: "python", "numpy", or ``None`` to defer to
-    #: :func:`resolve_backend` (explicit value > ``REPRO_BACKEND`` env
-    #: var > auto-detection — the env var is the lowest-precedence way
-    #: to *select* a backend and only fills in when nothing is set).
-    backend: Optional[str] = None
     #: Worker processes for restart fan-out and Phase-2 per-page
     #: analysis: 1 = serial (default), N > 1 = that many processes,
     #: 0 = one per available core.
@@ -127,20 +109,17 @@ class ExecutionConfig:
     #: is considered junk and :class:`~repro.errors.ExtractionError`
     #: is raised rather than extracting from noise.
     min_surviving_fraction: float = 0.5
-    #: How Phase-2 candidate records cross process boundaries:
-    #: "columnar" packs each worker's records into one compressed
-    #: numpy column bundle (int-coded paths, shape arrays, CSR term
-    #: counts — see :mod:`repro.core.columnar`), "pickle" ships the
-    #: record objects directly. Columnar silently degrades to pickle
-    #: on numpy-less machines (:func:`resolve_record_transport`).
-    record_transport: str = "columnar"
     #: LRU entry cap of the Phase-2 quadruple distance-matrix memo
     #: (:func:`repro.core.subtree_sets.set_quad_matrix_memo_limit`);
     #: 0 disables memoization. Long fleet runs visiting many sites
     #: would grow an unbounded memo without limit.
     distance_memo_entries: int = 256
+    #: Removed: numpy is the only compute path. Setting it raises
+    #: :class:`~repro.errors.ConfigError`.
+    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
+        _removed_backend_field("ExecutionConfig", self.backend)
         if self.n_jobs < 0:
             raise ValueError(f"n_jobs must be >= 0, got {self.n_jobs}")
         if self.cache not in CACHE_POLICIES:
@@ -171,11 +150,6 @@ class ExecutionConfig:
                 "min_surviving_fraction must be in [0, 1], got "
                 f"{self.min_surviving_fraction}"
             )
-        if self.record_transport not in RECORD_TRANSPORTS:
-            raise ValueError(
-                f"unknown record transport {self.record_transport!r}; "
-                f"valid: {', '.join(RECORD_TRANSPORTS)}"
-            )
         if self.distance_memo_entries < 0:
             raise ValueError(
                 "distance_memo_entries must be >= 0, got "
@@ -183,52 +157,8 @@ class ExecutionConfig:
             )
 
 
-#: A backend selection: a plain backend name, a full execution config,
-#: or ``None`` for the default resolution chain.
-BackendSelection = Union[str, ExecutionConfig, None]
-
-
-def resolve_backend(backend: BackendSelection = None) -> str:
-    """Resolve a compute-backend selection to ``"python"`` or ``"numpy"``.
-
-    Accepts a backend name or a whole :class:`ExecutionConfig` (its
-    ``backend`` field is used). ``None`` means "use the default": the
-    ``REPRO_BACKEND`` environment variable if set, otherwise ``"numpy"``
-    when numpy is importable and ``"python"`` on stripped environments —
-    i.e. any explicit selection outranks the env var, which outranks
-    only auto-detection. An explicit ``"numpy"`` request on a machine
-    without numpy raises, so silent slowdowns cannot masquerade as the
-    vectorized backend.
-
-    >>> resolve_backend("python")
-    'python'
-    >>> resolve_backend(ExecutionConfig(backend="python"))
-    'python'
-    """
-    if isinstance(backend, ExecutionConfig):
-        backend = backend.backend
-    if backend is None:
-        backend = os.environ.get("REPRO_BACKEND") or None
-    if backend is None:
-        from repro.vsm.matrix import HAVE_NUMPY
-
-        return "numpy" if HAVE_NUMPY else "python"
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; valid: {', '.join(BACKENDS)}"
-        )
-    if backend == "numpy":
-        from repro.vsm.matrix import HAVE_NUMPY
-
-        if not HAVE_NUMPY:
-            raise ValueError(
-                "backend 'numpy' requested but numpy is not installed"
-            )
-    return backend
-
-
 def resolve_n_jobs(
-    backend: BackendSelection = None, n_jobs: Optional[int] = None
+    execution: Optional[ExecutionConfig] = None, n_jobs: Optional[int] = None
 ) -> int:
     """Resolve a worker-process count to a concrete integer >= 1.
 
@@ -238,11 +168,11 @@ def resolve_n_jobs(
 
     >>> resolve_n_jobs(ExecutionConfig(n_jobs=4))
     4
-    >>> resolve_n_jobs("numpy")
+    >>> resolve_n_jobs()
     1
     """
-    if n_jobs is None and isinstance(backend, ExecutionConfig):
-        n_jobs = backend.n_jobs
+    if n_jobs is None and execution is not None:
+        n_jobs = execution.n_jobs
     if n_jobs is None:
         return 1
     if n_jobs < 0:
@@ -255,7 +185,9 @@ def resolve_n_jobs(
     return n_jobs
 
 
-def resolve_cache_dir(execution: "BackendSelection" = None) -> Optional[str]:
+def resolve_cache_dir(
+    execution: Optional[ExecutionConfig] = None,
+) -> Optional[str]:
     """Resolve the on-disk artifact-store root, or ``None`` when the
     persistent cache is disabled.
 
@@ -271,34 +203,12 @@ def resolve_cache_dir(execution: "BackendSelection" = None) -> Optional[str]:
     ... ) is None
     True
     """
-    if isinstance(execution, ExecutionConfig):
+    if execution is not None:
         if execution.artifact_cache == "off":
             return None
         if execution.cache_dir:
             return execution.cache_dir
     return os.environ.get("REPRO_CACHE_DIR") or None
-
-
-def resolve_record_transport(execution: "BackendSelection" = None) -> str:
-    """Resolve the cross-process record transport for an execution plan.
-
-    ``"columnar"`` (the default) requires numpy for the column packing;
-    on numpy-less machines it degrades to ``"pickle"`` rather than
-    failing — transport is a wire format, not a compute backend, so
-    the silent downgrade cannot change any result.
-
-    >>> resolve_record_transport(ExecutionConfig(record_transport="pickle"))
-    'pickle'
-    """
-    transport = "columnar"
-    if isinstance(execution, ExecutionConfig):
-        transport = execution.record_transport
-    if transport == "columnar":
-        from repro.vsm.matrix import HAVE_NUMPY
-
-        if not HAVE_NUMPY:
-            return "pickle"
-    return transport
 
 
 def resolve_stage_timeout(
@@ -334,13 +244,12 @@ def resolve_stage_timeout(
 
 
 def _removed_backend_field(owner: str, backend: Optional[str]) -> None:
-    """The per-stage ``backend`` fields graduated from deprecated to
-    removed: setting one is now a typed :class:`ConfigError`."""
+    """The ``backend`` fields are removed: numpy is the only compute
+    path, so setting one is a typed :class:`ConfigError`."""
     if backend is not None:
         raise ConfigError(
-            f"{owner}.backend was removed; set "
-            "ThorConfig(execution=ExecutionConfig(backend=...)) "
-            "(or pass an ExecutionConfig to the stage driver) instead"
+            f"{owner}.backend was removed; numpy is the only compute "
+            "path, so there is nothing to select: drop the argument"
         )
 
 
@@ -490,10 +399,10 @@ class ClusteringConfig:
     #: max fanout, page size); the paper uses "a simple linear
     #: combination".
     ranking_weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
-    #: Removed: the per-stage compute backend graduated through its
-    #: deprecation cycle. Setting it raises
-    #: :class:`~repro.errors.ConfigError`; set
-    #: ``ThorConfig.execution=ExecutionConfig(backend=...)`` instead.
+    #: Removed: numpy is the only compute path. Setting it raises
+    #: :class:`~repro.errors.ConfigError`. The field stays because it
+    #: is part of ``config_fingerprint``'s ``repr``: dropping it would
+    #: re-key every stored model and run manifest.
     backend: str | None = None
 
     def __post_init__(self) -> None:
@@ -530,10 +439,10 @@ class SubtreeConfig:
     #: Require candidates to contain a branching node (fanout > 1).
     #: The paper's third single-page rule is ambiguous; off by default.
     require_branching: bool = False
-    #: Removed: the per-stage compute backend graduated through its
-    #: deprecation cycle. Setting it raises
-    #: :class:`~repro.errors.ConfigError`; set
-    #: ``ThorConfig.execution=ExecutionConfig(backend=...)`` instead.
+    #: Removed: numpy is the only compute path. Setting it raises
+    #: :class:`~repro.errors.ConfigError`. The field stays because it
+    #: is part of ``config_fingerprint``'s ``repr``: dropping it would
+    #: re-key every stored model and run manifest.
     backend: str | None = None
 
     def __post_init__(self) -> None:
@@ -751,7 +660,7 @@ class ThorConfig:
     #: Seed for every stochastic component (K-Means starts, probe word
     #: sampling, prototype page choice); None = nondeterministic.
     seed: int | None = None
-    #: How the pipeline computes (backend, worker processes, caching) —
+    #: How the pipeline computes (worker processes, caching) —
     #: one execution config shared by clustering, subtree matching,
     #: content ranking, and the benchmarks.
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)
@@ -773,13 +682,6 @@ class ThorConfig:
     #: fingerprint: drift policy decides *how much stored work to
     #: reuse*, not what a cold result is.
     incremental: IncrementalConfig = field(default_factory=IncrementalConfig)
-
-    def resolved_execution(self) -> ExecutionConfig:
-        """The effective execution config. (Once this folded in the
-        legacy per-stage ``backend`` fields; those are removed, so this
-        is now the identity — kept because it remains the documented
-        way to ask a ``ThorConfig`` how it computes.)"""
-        return self.execution
 
 
 DEFAULT_CONFIG = ThorConfig()

@@ -108,14 +108,14 @@ class PageletIdentifier:
             max_assign_distance=cfg.max_assign_distance,
             path_code_length=cfg.path_code_length,
             seed=self.seed,
-            backend=self.execution,
+            execution=self.execution,
         )
         ranked = rank_subtree_sets(
             sets,
             n_pages=len(pages),
             static_similarity_threshold=cfg.static_similarity_threshold,
             min_support=cfg.min_support,
-            backend=self.execution,
+            execution=self.execution,
         )
         scored = score_sets(
             dynamic_sets(ranked),

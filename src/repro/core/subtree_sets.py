@@ -23,10 +23,12 @@ from __future__ import annotations
 import random
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Any, Mapping, Optional, Sequence
+
+import numpy as np
 
 from repro.cluster.editdist import cached_normalized_levenshtein
-from repro.config import BackendSelection, ExecutionConfig, resolve_backend
+from repro.config import ExecutionConfig
 from repro.errors import ExtractionError
 from repro.html.metrics import SubtreeShape, subtree_shape
 from repro.html.paths import TagCodec, node_tag_sequence
@@ -194,8 +196,6 @@ def quad_matrix_memo_stats() -> dict[str, int]:
 def _quad_columns(quads: tuple[_Quad, ...]):
     """Columnar view of a quadruple batch: paths + an (n × 3) numeric
     matrix (fanout, depth, nodes), built once per unique batch."""
-    import numpy as np
-
     paths = [quad[0] for quad in quads]
     numbers = np.array(
         [quad[1:] for quad in quads], dtype=np.float64
@@ -217,8 +217,6 @@ def _compact_distance_matrix(
     operations of the full matrix: the four weighted terms accumulate
     in the same order as the scalar :func:`shape_distance`.
     """
-    import numpy as np
-
     from repro.vsm.matrix import pairwise_normalized_levenshtein
 
     memo_key = (weights, a_quads, b_quads)
@@ -276,8 +274,6 @@ def shape_distance_matrix(
     :func:`shape_distance` bitwise — every path computes the identical
     sequence of float operations per quadruple pair.
     """
-    import numpy as np
-
     a_quads = [_candidate_quad(c) for c in a_candidates]
     b_quads = [_candidate_quad(c) for c in b_candidates]
     a_unique = tuple(dict.fromkeys(a_quads))
@@ -326,7 +322,7 @@ def find_common_subtree_sets(
     path_code_length: int = 1,
     prototype_index: Optional[int] = None,
     seed: Optional[int] = None,
-    backend: BackendSelection = None,
+    execution: Optional[ExecutionConfig] = None,
 ) -> list[CommonSubtreeSet]:
     """Group candidate subtrees across the cluster's pages.
 
@@ -339,23 +335,18 @@ def find_common_subtree_sets(
     prototype are matched greedily: all (set, candidate) pairs are
     sorted by distance and accepted when both the set's slot for that
     page and the candidate are still free and the distance is within
-    ``max_assign_distance``.
-
-    ``backend`` selects the distance computation: under "numpy" the
-    full prototype × candidate distance matrix for each page is built
-    by :func:`shape_distance_matrix` in a handful of array operations;
-    "python" does one scalar :func:`shape_distance` per pair. Both
-    yield identical groupings.
+    ``max_assign_distance``. The full prototype × candidate distance
+    matrix for each page is built by :func:`shape_distance_matrix` in
+    a handful of array operations.
 
     Raises :class:`ExtractionError` when there are no pages or the
     chosen prototype page has no candidates.
     """
     if not candidates_per_page:
         raise ExtractionError("no pages given to cross-page analysis")
-    if isinstance(backend, ExecutionConfig):
+    if execution is not None:
         # The execution plan bounds the quadruple-matrix memo.
-        set_quad_matrix_memo_limit(backend.distance_memo_entries)
-    backend = resolve_backend(backend)
+        set_quad_matrix_memo_limit(execution.distance_memo_entries)
     rng = random.Random(seed)
     codec = TagCodec(path_code_length)
 
@@ -386,22 +377,9 @@ def find_common_subtree_sets(
         if page_index == prototype_index or not nodes:
             continue
         page_candidates = [_as_candidate(page_index, n, codec) for n in nodes]
-        pairs: list[tuple[float, int, int]] = []
-        if backend == "numpy":
-            import numpy as np
-
-            distances = shape_distance_matrix(prototypes, page_candidates, weights)
-            set_rows, cand_cols = np.nonzero(distances <= max_assign_distance)
-            pairs = [
-                (float(distances[s, c]), int(s), int(c))
-                for s, c in zip(set_rows, cand_cols)
-            ]
-        else:
-            for set_index, proto in enumerate(prototypes):
-                for cand_index, candidate in enumerate(page_candidates):
-                    distance = shape_distance(proto, candidate, weights)
-                    if distance <= max_assign_distance:
-                        pairs.append((distance, set_index, cand_index))
+        pairs = _assignable_pairs(
+            prototypes, page_candidates, weights, max_assign_distance
+        )
         pairs.sort(key=lambda t: t[0])
         used_sets: set[int] = set()
         used_candidates: set[int] = set()
@@ -412,3 +390,19 @@ def find_common_subtree_sets(
             used_sets.add(set_index)
             used_candidates.add(cand_index)
     return sets
+
+
+def _assignable_pairs(
+    prototypes: Sequence[SubtreeCandidate],
+    page_candidates: Sequence[SubtreeCandidate],
+    weights: tuple[float, float, float, float],
+    max_assign_distance: float,
+) -> list[tuple[float, int, int]]:
+    """Every ``(distance, set index, candidate index)`` within
+    ``max_assign_distance``, in row-major (set, then candidate) order."""
+    distances = shape_distance_matrix(prototypes, page_candidates, weights)
+    set_rows, cand_cols = np.nonzero(distances <= max_assign_distance)
+    return [
+        (float(distances[s, c]), int(s), int(c))
+        for s, c in zip(set_rows, cand_cols)
+    ]

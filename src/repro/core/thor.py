@@ -83,7 +83,6 @@ from repro.runtime import artifact_store_for
 from repro.signatures.content import content_signature
 from repro.signatures.tag import tag_signature
 from repro.text.terms import DEFAULT_EXTRACTOR
-from repro.vsm.matrix import HAVE_NUMPY
 
 #: Clustering configurations the incremental model can assign against
 #: (tf-idf vector spaces reconstructible from the stored vocabulary +
@@ -130,10 +129,8 @@ class Thor:
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         self.config = config
-        # Resolve the execution plan (backend / n_jobs / cache) once —
-        # folding in the deprecated per-stage backend fields — and hand
-        # the same plan to every stage driver.
-        execution = config.resolved_execution()
+        # One execution plan (n_jobs / cache) for every stage.
+        execution = config.execution
         self.execution = execution
         #: Seeded chaos injected into this instance's runs (tests/CI);
         #: ``None`` — the default — injects nothing.
@@ -610,7 +607,6 @@ class Thor:
             cache = artifact_store_for(self.execution)
             if (
                 cache is not None
-                and HAVE_NUMPY
                 and self.config.clustering.configuration
                 in _INCREMENTAL_SIGNATURES
             ):
@@ -620,7 +616,7 @@ class Thor:
                     config_fingerprint(self.config),
                 )
             if model is None:
-                # No store, no numpy, an unsupported configuration, a
+                # No store, an unsupported configuration, a
                 # torn bundle, or simply a first run: all count as one
                 # model miss and fall back to the full pipeline.
                 self._report.incremental_event("model_misses")
@@ -906,8 +902,8 @@ class Thor:
     def persist_model(self, result: ThorResult) -> bool:
         """Bundle the latest fit into the ``models/`` slot; True if saved.
 
-        Requires a configured artifact store, the numpy backend, and a
-        clustering configuration the assign kernel can reconstruct
+        Requires a configured artifact store and a clustering
+        configuration the assign kernel can reconstruct
         (``_INCREMENTAL_SIGNATURES``); silently skips otherwise. Model
         persistence is strictly additive — a failure to save can never
         fail the run that produced ``result``.
@@ -917,7 +913,6 @@ class Thor:
         if (
             store is None
             or fit is None
-            or not HAVE_NUMPY
             or self.config.clustering.configuration not in _INCREMENTAL_SIGNATURES
         ):
             return False

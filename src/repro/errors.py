@@ -59,10 +59,10 @@ class EvaluationError(ThorError):
 
 class ConfigError(ThorError):
     """Raised for configuration that is no longer (or never was)
-    meaningful — e.g. the removed per-stage ``ClusteringConfig.backend``
-    / ``SubtreeConfig.backend`` fields, or a fleet job submitted without
-    a persistent artifact store. The message always names the
-    replacement knob."""
+    meaningful — e.g. the removed ``backend`` fields of
+    ``ExecutionConfig``/``ClusteringConfig``/``SubtreeConfig``, or a
+    fleet job submitted without a persistent artifact store. The
+    message always says what to do instead."""
 
 
 class ResilienceError(ThorError):

@@ -262,7 +262,7 @@ def run_fleet(
     """
     config = config if config is not None else DEFAULT_CONFIG
     options = options if options is not None else RunOptions()
-    execution = config.resolved_execution()
+    execution = config.execution
     store = artifact_store_for(execution)
     if store is None:
         raise ConfigError(

@@ -1,10 +1,9 @@
 """The execution layer: *how* the pipeline computes.
 
-Every stage used to answer three questions on its own — which compute
-kernels to run, whether to parallelize, what to reuse between calls.
-This module centralizes them behind one :class:`ExecutionConfig`
-(backend + worker processes + cache policy) and provides the shared
-machinery:
+Every stage used to answer two questions on its own — whether to
+parallelize and what to reuse between calls. This module centralizes
+them behind one :class:`ExecutionConfig` (worker processes + cache
+policy) and provides the shared machinery:
 
 - **Per-restart seed streams** (:func:`restart_seed_streams`): the
   clustering drivers used to thread a single ``random.Random`` through
@@ -30,8 +29,8 @@ machinery:
   maps + weighting scheme), so it can never serve a stale space.
 
 The user-facing knobs live on :class:`repro.config.ExecutionConfig`
-(re-exported here), threaded through ``ThorConfig.execution``, the
-stage drivers, and the CLI ``--backend`` / ``--jobs`` flags.
+(re-exported here), threaded through ``ThorConfig.execution``, every
+pipeline stage, and the CLI ``--jobs`` flag.
 """
 
 from __future__ import annotations
@@ -40,14 +39,7 @@ import random
 from collections import OrderedDict
 from typing import Any, Callable, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.config import (
-    BACKENDS,
-    BackendSelection,
-    ExecutionConfig,
-    resolve_backend,
-    resolve_cache_dir,
-    resolve_n_jobs,
-)
+from repro.config import ExecutionConfig, resolve_cache_dir, resolve_n_jobs
 from repro.errors import ChunkFailedError
 
 #: Seed material for one restart: anything ``random.Random`` accepts
@@ -576,8 +568,6 @@ def clear_space_cache() -> None:
 
 
 __all__ = [
-    "BACKENDS",
-    "BackendSelection",
     "ExecutionConfig",
     "PageStream",
     "SeedMaterial",
@@ -586,7 +576,6 @@ __all__ = [
     "cached_weighted_space",
     "clear_artifact_store_registry",
     "clear_space_cache",
-    "resolve_backend",
     "resolve_cache_dir",
     "resolve_n_jobs",
     "restart_seed_streams",

@@ -36,23 +36,33 @@ class TestParser:
         assert args.k == 3
         assert args.top_m == 1
 
-    def test_backend_flag(self):
-        args = build_parser().parse_args(["demo", "--backend", "python"])
-        assert args.backend == "python"
-        assert build_parser().parse_args(["extract", "--pages", "p",
-                                          "--backend", "numpy"]).backend == "numpy"
+    def test_backend_flag(self, capsys):
+        # numpy and columnar are the only compute path and record
+        # transport: both selection flags are gone, so argparse rejects
+        # them (exit 2) on every computing subcommand.
+        commands = (
+            ["run"], ["extract", "--pages", "p"], ["demo"],
+            ["search", "--query", "q"],
+        )
+        for command in commands:
+            args = vars(build_parser().parse_args(command))
+            assert "backend" not in args and "record_transport" not in args
+            for flag in (["--backend", "numpy"],
+                         ["--record-transport", "columnar"]):
+                with pytest.raises(SystemExit) as excinfo:
+                    build_parser().parse_args(command + flag)
+                assert excinfo.value.code == 2
 
     def test_backend_rejects_unknown(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["demo", "--backend", "fortran"])
+        assert excinfo.value.code == 2
 
     def test_backend_threaded_into_config(self):
         from repro.cli import _thor_config
 
-        args = build_parser().parse_args(["demo", "--backend", "python"])
-        config = _thor_config(args)
-        assert config.execution.backend == "python"
-        # The deprecated per-stage fields stay untouched.
+        config = _thor_config(build_parser().parse_args(["demo", "--jobs", "2"]))
+        assert config.execution.backend is None
         assert config.clustering.backend is None
         assert config.subtrees.backend is None
         default = _thor_config(build_parser().parse_args(["demo"]))
@@ -68,12 +78,9 @@ class TestParser:
     def test_jobs_threaded_into_config(self):
         from repro.cli import _thor_config
 
-        args = build_parser().parse_args(
-            ["extract", "--pages", "p", "--jobs", "2", "--backend", "numpy"]
-        )
+        args = build_parser().parse_args(["extract", "--pages", "p", "--jobs", "2"])
         config = _thor_config(args)
         assert config.execution.n_jobs == 2
-        assert config.execution.backend == "numpy"
 
     def test_probe_execution_and_report_flags(self):
         # Stage 1 is concurrency-aware: --jobs fans probes out, --rate
@@ -149,15 +156,15 @@ class TestCommands:
         assert "pagelet=" in output
 
     def test_demo_backend_end_to_end(self, capsys):
-        # Both backends drive the full pipeline from the CLI.
+        # The removed --backend flag is a usage error (exit 2) before
+        # any work runs; without it the demo drives the full pipeline.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["demo", "--domain", "jobs", "--seed", "5",
+                  "--show", "1", "--backend", "python"])
+        assert excinfo.value.code == 2
         assert main(["demo", "--domain", "jobs", "--seed", "5",
-                     "--show", "1", "--backend", "python"]) == 0
-        python_out = capsys.readouterr().out
-        assert main(["demo", "--domain", "jobs", "--seed", "5",
-                     "--show", "1", "--backend", "numpy"]) == 0
-        numpy_out = capsys.readouterr().out
-        assert "pagelet=" in python_out
-        assert "pagelet=" in numpy_out
+                     "--show", "1"]) == 0
+        assert "pagelet=" in capsys.readouterr().out
 
     def test_search_command(self, capsys):
         assert main(

@@ -8,8 +8,8 @@ Three families of invariants, all bitwise:
   element (hypothesis-driven, plus all seven synthetic domains and the
   NaN/empty-path edges);
 - columnar record transport round-trips records value-for-value and
-  produces identical fan-out results to pickle transport, at a
-  fraction of the serialized bytes;
+  produces identical fan-out results to the serial path, at a fraction
+  of the bytes pickling the same records takes;
 - a streaming ``Thor.run`` digests identically to the barriered run,
   fault-free and under seeded chaos.
 """
@@ -109,15 +109,11 @@ class TestBatchedEditdistKernel:
         oracle = [
             normalized_levenshtein(a, b) for a, b in zip(a_strings, b_strings)
         ]
-        for backend in ("python", "numpy"):
-            batched = batch_normalized_levenshtein(
-                a_strings, b_strings, backend=backend
-            )
-            assert batched == oracle
+        assert batch_normalized_levenshtein(a_strings, b_strings) == oracle
 
     def test_editdist_empty_and_equal_fast_paths(self):
         out = batch_normalized_levenshtein(
-            ["", "", "abc", "same"], ["", "xy", "", "same"], backend="numpy"
+            ["", "", "abc", "same"], ["", "xy", "", "same"]
         )
         assert out == [0.0, 1.0, 1.0, 0.0]
 
@@ -131,9 +127,7 @@ class TestBatchedEditdistKernel:
         assert paths
         a_strings = paths
         b_strings = list(reversed(paths))
-        assert batch_normalized_levenshtein(
-            a_strings, b_strings, backend="numpy"
-        ) == [
+        assert batch_normalized_levenshtein(a_strings, b_strings) == [
             normalized_levenshtein(a, b)
             for a, b in zip(a_strings, b_strings)
         ]
@@ -261,7 +255,7 @@ class TestQuadMatrixMemo:
         find_common_subtree_sets(
             records,
             seed=0,
-            backend=ExecutionConfig(distance_memo_entries=7),
+            execution=ExecutionConfig(distance_memo_entries=7),
         )
         assert quad_matrix_memo_stats()["limit"] == 7
         assert ExecutionConfig(distance_memo_entries=0).distance_memo_entries == 0
@@ -327,30 +321,31 @@ class TestColumnarTransport:
         assert packed * 3 < pickled  # conservative floor; typically ~8x
 
     def test_columnar_and_pickle_fanouts_agree(self):
+        # The columnar fan-out returns the serial records exactly, and
+        # ships a third or less of what pickling them would.
         from repro.resilience.report import RunReportBuilder, activate_report
 
         pages = cluster_pages("ecommerce", n=8)
         serial = candidate_records_for_cluster(pages)
-        received = {}
-        for transport in ("columnar", "pickle"):
-            builder = RunReportBuilder()
-            with activate_report(builder):
-                fanned = candidate_records_for_cluster(
-                    pages,
-                    execution=ExecutionConfig(
-                        n_jobs=2, record_transport=transport
-                    ),
-                )
-            assert fanned == serial
-            entry = builder.build().transport["phase2-records"]
-            assert entry["chunks"] == 2
-            assert entry["bytes_sent"] > 0
-            received[transport] = entry["bytes_received"]
-        assert received["columnar"] * 3 < received["pickle"]
+        builder = RunReportBuilder()
+        with activate_report(builder):
+            fanned = candidate_records_for_cluster(
+                pages, execution=ExecutionConfig(n_jobs=2)
+            )
+        assert fanned == serial
+        entry = builder.build().transport["phase2-records"]
+        assert entry["chunks"] == 2
+        assert entry["bytes_sent"] > 0
+        pickled = sum(
+            len(pickle.dumps(chunk, pickle.HIGHEST_PROTOCOL))
+            for chunk in (serial[:4], serial[4:])
+        )
+        assert entry["bytes_received"] * 3 < pickled
 
     def test_record_transport_validation(self):
-        with pytest.raises(ValueError, match="record transport"):
-            ExecutionConfig(record_transport="carrier-pigeon")
+        # Columnar is the only record transport; the option is gone.
+        with pytest.raises(TypeError, match="record_transport"):
+            ExecutionConfig(record_transport="pickle")
 
 
 # ---------------------------------------------------------------------------

@@ -4,19 +4,18 @@ from __future__ import annotations
 
 import math
 
-import pytest
-
 from repro.config import SubtreeConfig
 from repro.core.page import Page
 from repro.core.single_page import candidate_subtrees_for_cluster
+from repro.core import subtree_ranking
 from repro.core.subtree_ranking import (
     dynamic_sets,
     intra_set_similarity,
     rank_subtree_sets,
-    set_content_vectors,
 )
 from repro.core.subtree_sets import find_common_subtree_sets
 from repro.core.selection import score_sets
+from tests import oracles
 
 
 def build_sets(pages, **kwargs):
@@ -76,7 +75,7 @@ class TestIntraSetSimilarity:
 
         sets = build_sets(PAGES)
         for subtree_set in sets[:5]:
-            vectors = set_content_vectors(subtree_set)
+            vectors = oracles.set_content_vectors(subtree_set)
             n = len(vectors)
             if n <= 1:
                 continue
@@ -87,6 +86,9 @@ class TestIntraSetSimilarity:
             ) / (n * (n - 1) / 2)
             fast = intra_set_similarity(subtree_set)
             assert math.isclose(naive, fast, abs_tol=1e-9)
+            assert math.isclose(
+                oracles.intra_set_similarity(subtree_set), fast, abs_tol=1e-9
+            )
 
     def test_raw_vs_tfidf_modes_differ(self):
         sets = build_sets(PAGES)
@@ -106,20 +108,25 @@ class TestRankSubtreeSets:
         sims = [r.similarity for r in ranked]
         assert sims == sorted(sims)
 
-    def test_order_identical_across_backends(self):
-        # Backends score similarities to ulp-level differences; the
-        # quantized sort key must keep the ranked order (and hence
-        # everything downstream) backend-independent.
-        pytest.importorskip("numpy")
+    def test_order_identical_across_backends(self, monkeypatch):
+        # The closed-form kernel and the scalar oracle score
+        # similarities to ulp-level differences; the quantized sort key
+        # must keep the ranked order (and hence everything downstream)
+        # independent of which one scored the sets.
         sets = build_sets(PAGES)
-        by_backend = {
-            backend: [
-                id(r.subtree_set)
-                for r in rank_subtree_sets(sets, n_pages=3, backend=backend)
-            ]
-            for backend in ("python", "numpy")
-        }
-        assert by_backend["python"] == by_backend["numpy"]
+
+        def ranked_ids():
+            return [id(r.subtree_set) for r in rank_subtree_sets(sets, n_pages=3)]
+
+        production = ranked_ids()
+        monkeypatch.setattr(
+            subtree_ranking,
+            "intra_set_similarity",
+            lambda subtree_set, extractor, use_tfidf, execution=None: (
+                oracles.intra_set_similarity(subtree_set, extractor, use_tfidf)
+            ),
+        )
+        assert ranked_ids() == production
 
     def test_static_flagging(self):
         ranked = rank_subtree_sets(

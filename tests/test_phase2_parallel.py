@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import ExecutionConfig, SubtreeConfig
+from repro.core import subtree_ranking, subtree_sets
 from repro.core.identification import PageletIdentifier
 from repro.core.single_page import (
     candidate_record,
@@ -27,6 +28,7 @@ from repro.core.single_page import (
 )
 from repro.deepweb import generate_corpus
 from repro.deepweb.domains import DOMAINS
+from tests import oracles
 
 
 ALL_DOMAINS = sorted(DOMAINS)  # all seven deep-web domains
@@ -162,22 +164,31 @@ class TestBitwiseEquivalence:
         assert cold == baseline
         assert warm == baseline
 
-    def test_backends_agree_on_extraction_outputs(self, tmp_path):
-        # The two compute backends don't promise bitwise-equal
-        # similarity *floats* (the ranking sort key is quantized to
-        # absorb that), but the extraction outputs — which pagelet,
-        # where, at what rank — must coincide, cache or no cache.
+    def test_backends_agree_on_extraction_outputs(self, tmp_path, monkeypatch):
+        # The scalar oracles don't promise bitwise-equal similarity
+        # *floats* with the production kernels (the ranking sort key is
+        # quantized to absorb that), but the extraction outputs — which
+        # pagelet, where, at what rank — must coincide, cache or no
+        # cache.
         pages = cluster_pages("movies", n=8)
-        outputs = {}
-        for backend in ("python", "numpy"):
-            execution = ExecutionConfig(
-                backend=backend, cache_dir=str(tmp_path)
-            )
+        execution = ExecutionConfig(cache_dir=str(tmp_path))
+
+        def outputs():
             result = identify(pages, execution)
-            outputs[backend] = [
-                (p.path, p.rank, p.html()) for p in result.pagelets
-            ]
-        assert outputs["python"] == outputs["numpy"]
+            return [(p.path, p.rank, p.html()) for p in result.pagelets]
+
+        production = outputs()
+        monkeypatch.setattr(
+            subtree_sets, "_assignable_pairs", oracles.assignable_pairs
+        )
+        monkeypatch.setattr(
+            subtree_ranking,
+            "intra_set_similarity",
+            lambda subtree_set, extractor, use_tfidf, execution=None: (
+                oracles.intra_set_similarity(subtree_set, extractor, use_tfidf)
+            ),
+        )
+        assert outputs() == production
 
     def test_warm_parallel_matches_too(self, tmp_path, fresh_caches):
         pages = cluster_pages("jobs", n=8)

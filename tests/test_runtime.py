@@ -76,7 +76,7 @@ class TestSpaceCache:
         pages = [site.query(w) for w in ("alpha", "beta", "gamma", "delta")]
         config = get_configuration("ttag")
         for k in (2, 3, 4):
-            config(pages, k, restarts=1, seed=0, backend="numpy")
+            config(pages, k, restarts=1, seed=0)
         stats = space_cache_stats()
         # One interning for the collection, hits for every further k.
         assert stats["misses"] == 1

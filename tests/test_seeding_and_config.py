@@ -116,9 +116,8 @@ class TestExecutionConfig:
             ExecutionConfig().n_jobs = 4
 
     def test_thor_config_carries_execution(self):
-        config = ThorConfig(execution=ExecutionConfig(backend="python", n_jobs=2))
-        assert config.resolved_execution().backend == "python"
-        assert config.resolved_execution().n_jobs == 2
+        config = ThorConfig(execution=ExecutionConfig(n_jobs=2))
+        assert config.execution.n_jobs == 2
 
 
 class TestResolveNJobs:
@@ -130,7 +129,6 @@ class TestResolveNJobs:
 
     def test_default_is_serial(self):
         assert resolve_n_jobs() == 1
-        assert resolve_n_jobs("numpy") == 1
 
     def test_zero_means_all_cores(self):
         assert resolve_n_jobs(n_jobs=0) >= 1
@@ -141,8 +139,8 @@ class TestResolveNJobs:
 
 
 class TestRemovedBackendField:
-    """The deprecated per-stage ``backend`` fields are gone: setting
-    them is a typed :class:`ConfigError` naming the replacement."""
+    """The ``backend`` fields are gone — numpy is the only compute path:
+    setting one is a typed :class:`ConfigError` saying what to do."""
 
     def test_clustering_backend_raises(self):
         with pytest.raises(ConfigError, match="ClusteringConfig.backend"):
@@ -152,18 +150,19 @@ class TestRemovedBackendField:
         with pytest.raises(ConfigError, match="SubtreeConfig.backend"):
             SubtreeConfig(backend="python")
 
+    def test_execution_backend_raises(self):
+        with pytest.raises(ConfigError, match="ExecutionConfig.backend"):
+            ExecutionConfig(backend="numpy")
+
     def test_error_names_the_replacement(self):
-        with pytest.raises(ConfigError, match="ExecutionConfig"):
+        with pytest.raises(ConfigError, match="drop the argument"):
             ClusteringConfig(backend="numpy")
 
     def test_unset_field_stays_silent(self, recwarn):
         assert ClusteringConfig().backend is None
         assert SubtreeConfig().backend is None
+        assert ExecutionConfig().backend is None
         assert not recwarn.list
-
-    def test_resolved_execution_passthrough(self):
-        execution = ExecutionConfig(backend="python", n_jobs=2)
-        assert ThorConfig(execution=execution).resolved_execution() is execution
 
     def test_config_error_is_thor_error(self):
         from repro.errors import ThorError
