@@ -26,8 +26,7 @@ Floors (skipped floors are recorded explicitly in the archived JSON's
   fewer per-worker result bytes than pickling the records (default
   5.0; columnar bytes come from the run report's per-chunk
   accounting, the pickle side is ``len(pickle.dumps(records))`` of
-  the same records),
-- streaming ``Thor.run`` == barriered run, digest-bitwise.
+  the same records).
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import tempfile
 import time
 
 from conftest import emit, emit_json
-from repro.config import ExecutionConfig, ProbeConfig, SubtreeConfig, ThorConfig
+from repro.config import ExecutionConfig, SubtreeConfig
 from repro.core.identification import PageletIdentifier
 from repro.core.page import Page
 from repro.core.single_page import candidate_records_for_cluster
@@ -174,21 +173,6 @@ def test_phase2_parallel_and_cache_speedup(corpus, capsys):
         / transport["columnar"]["bytes_received"]
     )
 
-    # Streaming single-pass run == barriered run, digest-bitwise.
-    from repro.core.thor import Thor
-    from repro.deepweb import make_site
-    from repro.io.export import result_digest
-
-    streaming_config = ThorConfig(
-        probing=ProbeConfig(dictionary_queries=12, nonsense_queries=2),
-        seed=2,
-    )
-    barriered = Thor(streaming_config).run(make_site(domain="ecommerce", seed=2))
-    streamed = Thor(streaming_config).run(
-        make_site(domain="ecommerce", seed=2), streaming=True
-    )
-    streaming_digest_match = result_digest(streamed) == result_digest(barriered)
-
     cpus = _available_cpus()
     skipped_floors = []
     if cpus < 4:
@@ -226,9 +210,6 @@ def test_phase2_parallel_and_cache_speedup(corpus, capsys):
         f"  columnar {transport['columnar']['bytes_received']}B"
         f" ({transport_reduction:.2f}x smaller)"
     )
-    lines.append(
-        f"streaming == barriered digest: {streaming_digest_match}"
-    )
     for skip in skipped_floors:
         lines.append(f"skipped floor {skip['floor']}: {skip['reason']}")
     emit(capsys, "extraction_speedup", "\n".join(lines))
@@ -258,7 +239,6 @@ def test_phase2_parallel_and_cache_speedup(corpus, capsys):
                 "columnar": transport["columnar"],
                 "reduction": transport_reduction,
             },
-            "streaming_digest_match": streaming_digest_match,
             "bitwise_identical": True,
             "floors": {
                 "warm": WARM_FLOOR,
@@ -274,4 +254,3 @@ def test_phase2_parallel_and_cache_speedup(corpus, capsys):
     if cpus >= 4:
         assert cold[4]["speedup"] >= COLD_FLOOR
     assert transport_reduction >= TRANSPORT_FLOOR
-    assert streaming_digest_match

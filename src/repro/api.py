@@ -25,10 +25,10 @@ Each takes an optional :class:`ThorConfig` for *what to compute*
 (execution concerns — worker processes, the
 persistent artifact cache — ride on ``ThorConfig.execution``), and an
 optional :class:`RunOptions` for *how this invocation behaves* —
-naming (``run_id``), resumption (``resume``), single-pass scheduling
-(``streaming``), and seeded chaos (``fault_plan``). (The pre-1.0 bare
-``run_id``/``resume``/``streaming`` keyword arguments completed their
-one-release deprecation and are gone.)
+naming (``run_id``), resumption (``resume``), model reuse
+(``incremental``), and seeded chaos (``fault_plan``). A run's stages
+execute in order — probe, then extract, then partition — on one
+schedule.
 
 Exactly the names in ``__all__`` are covered by the facade's stability
 promise; deeper module paths (``repro.core.*``, ``repro.cluster.*``)
@@ -172,11 +172,8 @@ def run(
     configured), each completed stage is checkpointed;
     ``options.resume`` then skips checkpointed stages after a crash —
     the probe *and* the Phase-1 cluster fit — and reproduces the
-    identical result digest. ``options.streaming`` overlaps the stages
-    single-pass (pages prewarm Phase-2 state as the probe returns
-    them, partitioning overlaps identification) while producing a
-    bitwise identical result digest; ``options.fault_plan`` injects
-    seeded chaos.
+    identical result digest; ``options.fault_plan`` injects seeded
+    chaos.
     """
     options = options if options is not None else RunOptions()
     return Thor(config or DEFAULT_CONFIG, fault_plan=options.fault_plan).run(

@@ -279,7 +279,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         options=RunOptions(
             run_id=args.run_id,
             resume=args.resume,
-            streaming=getattr(args, "streaming", False),
             incremental=getattr(args, "incremental", False),
         ),
     )
@@ -388,7 +387,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     options = RunOptions(
         run_id=args.fleet_id,
         resume=args.resume,
-        streaming=getattr(args, "streaming", False),
         fault_plan=_fault_plan(args),
     )
     try:
@@ -803,12 +801,6 @@ def build_parser() -> argparse.ArgumentParser:
              "uninterrupted run)",
     )
     run.add_argument(
-        "--streaming", action="store_true",
-        help="single-pass pipeline: start Phase-2 work as probed pages "
-             "land and overlap partitioning with identification (the "
-             "result digest matches a barriered run bitwise)",
-    )
-    run.add_argument(
         "--incremental", action="store_true",
         help="re-extract O(delta) against the stored site model: "
              "unchanged pages replay from cache, changed pages are "
@@ -870,10 +862,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-sites", type=int, default=None, dest="max_sites",
         help="admit at most this many sites this invocation and defer "
              "the rest (graceful drain; finish with --resume)",
-    )
-    fleet.add_argument(
-        "--streaming", action="store_true",
-        help="run each site's pipeline single-pass (same digests)",
     )
     fleet.add_argument(
         "--quota", action="append", type=_quota_entry, default=None,

@@ -302,7 +302,7 @@ class RunOptions:
     :func:`repro.api.run_fleet` all accept one ``RunOptions`` instead
     of a sprawl of keyword arguments: *what* to compute rides on the
     positional arguments, *how this invocation behaves* (naming,
-    resumption, scheduling, chaos) rides here. Options are
+    resumption, incremental reuse, chaos) rides here. Options are
     config-fingerprint-neutral by construction: nothing in this object
     may change a result digest. ``incremental`` is the one deliberate
     carve-out: it substitutes replayed/assigned results from the
@@ -318,9 +318,6 @@ class RunOptions:
     #: ``run_id``; the resumed result digest is bitwise identical to an
     #: uninterrupted run's.
     resume: bool = False
-    #: Single-pass scheduling: overlap Phase-2 prewarming with the
-    #: probe and partitioning with identification (digest unchanged).
-    streaming: bool = False
     #: Seeded chaos plan injected into the run (tests/CI drills);
     #: ``None`` — the default — injects nothing.
     fault_plan: Optional["FaultPlan"] = None

@@ -17,7 +17,7 @@ with structured reasons instead of aborting the run (as long as
 stages run under optional wall-clock watchdogs
 (``ExecutionConfig.stage_timeout_s``, overridable per stage through
 ``ExecutionConfig.stage_timeouts``), named runs checkpoint their
-stages through the artifact store so ``Thor.run(..., resume=True)``
+stages through the artifact store so a ``Thor.run`` resume
 skips finished work — the probe *and* the Phase-1 cluster fit — after
 a crash, and every run's degradations are
 accounted for on a :class:`~repro.resilience.report.RunReport`
@@ -180,9 +180,7 @@ class Thor:
         with activate_fault_plan(self.fault_plan), activate_report(self._report):
             return self._probe_guarded(source)
 
-    def _probe_guarded(
-        self, source: DeepWebSource, tap=None
-    ) -> ProbeResult:
+    def _probe_guarded(self, source: DeepWebSource) -> ProbeResult:
         plan = active_fault_plan()
         if plan is not None and plan.source is not None:
             from repro.probe.faults import FaultInjectingSource
@@ -191,76 +189,11 @@ class Thor:
                 source = FaultInjectingSource(
                     source, plan.source, seed=plan.seed
                 )
-        if tap is not None:
-            from repro.runtime import StreamingSourceTap
-
-            # The tap wraps *outside* any fault injector, so only pages
-            # the prober actually receives land on the stream.
-            source = StreamingSourceTap(source, tap)
         return run_stage(
             lambda: self._prober.probe(source),
             "probe",
             resolve_stage_timeout(self.execution, "probe"),
         )
-
-    def _streamed_probe(self, source: DeepWebSource) -> ProbeResult:
-        """Stage 1 with page-level streaming into Phase-2 prewarming.
-
-        The probe runs on a helper thread (the active fault plan and
-        report stacks are process-global, so injection and accounting
-        are unchanged); each page is prewarmed here — artifact-store
-        priming plus signature computation — the moment the source
-        returns it. Prewarming only populates lazy per-page caches, so
-        the returned :class:`ProbeResult` (and everything extracted
-        from it) is bitwise identical to a barriered probe.
-        """
-        import threading
-
-        from repro.runtime import PageStream
-
-        stream = PageStream()
-        outcome: dict = {}
-
-        def produce() -> None:
-            try:
-                outcome["result"] = self._probe_guarded(source, tap=stream)
-            except BaseException as exc:  # re-raised on the main thread
-                outcome["error"] = exc
-            finally:
-                stream.close()
-
-        producer = threading.Thread(
-            target=produce, name="thor-streaming-probe", daemon=True
-        )
-        producer.start()
-        store = artifact_store_for(self.execution)
-        load_tree = self._tree_loader(store)
-        for page in stream:
-            self._prewarm_page(page, store, load_tree)
-        producer.join()
-        if "error" in outcome:
-            raise outcome["error"]
-        return outcome["result"]
-
-    def _prewarm_page(self, page: Page, store, load_tree) -> None:
-        """Start one streamed page's Phase-2 work early (best effort).
-
-        Store priming and signature computation both populate lazy
-        caches that :meth:`_prime_pages` / :meth:`_quarantine_scan`
-        would otherwise fill later — computing them here moves work
-        into the probe's wall-clock shadow without changing any value.
-        A page whose analysis raises is left for the canonical
-        quarantine scan, which alone decides survival (in final page
-        order, so quarantine records match the barriered run).
-        """
-        try:
-            if store is not None:
-                self._prime_page(page, store, load_tree)
-            page.tag_counts()
-            page.term_counts()
-            page.max_fanout()
-        except ThorError:
-            pass
 
     # -- stage 2 ---------------------------------------------------------
 
@@ -309,7 +242,6 @@ class Thor:
     def _extract_guarded(
         self,
         pages: Sequence[Page],
-        on_identified=None,
         *,
         store=None,
         manifest=None,
@@ -391,10 +323,6 @@ class Thor:
                     "quarantined": None,
                 }
             )
-            if on_identified is not None:
-                # Streaming: hand the cluster's pagelets downstream
-                # while the next cluster identifies.
-                on_identified(result)
         self._persist_signatures(surviving, primed)
         self._last_fit = {
             "pages": tuple(surviving),
@@ -443,51 +371,37 @@ class Thor:
             "template from what is mostly junk"
         )
 
-    def _tree_loader(self, store):
-        """A page-tree loader bound to ``store`` (``None`` without one)."""
-        if store is None:
-            return None
-        from repro.artifacts.pages import cached_tree
-
-        def load_tree(page: Page):
-            return cached_tree(store, page.html, page.url)
-
-        return load_tree
-
-    def _prime_page(self, page: Page, store, load_tree) -> bool:
-        """Warm one page from the artifact store; True when primed."""
-        from repro.artifacts.pages import cached_signature
-
-        page.set_tree_loader(load_tree)
-        signature = cached_signature(store, page.html)
-        if signature is None:
-            return False
-        try:
-            page.prime_signature(
-                tag_counts={
-                    str(tag): int(count)
-                    for tag, count in signature["tag_counts"].items()
-                },
-                term_counts={
-                    str(term): int(count)
-                    for term, count in signature["term_counts"].items()
-                },
-                max_fanout=int(signature["max_fanout"]),
-            )
-        except (TypeError, ValueError, AttributeError):
-            return False  # malformed bundle: fall back to computing
-        return True
-
     def _prime_pages(self, pages: Sequence[Page]) -> set[int]:
         """Warm pages from the artifact store; return primed page ids."""
         store = artifact_store_for(self.execution)
         primed: set[int] = set()
         if store is None:
             return primed
-        load_tree = self._tree_loader(store)
+        from repro.artifacts.pages import cached_signature, cached_tree
+
+        def load_tree(page: Page):
+            return cached_tree(store, page.html, page.url)
+
         for page in pages:
-            if self._prime_page(page, store, load_tree):
-                primed.add(id(page))
+            page.set_tree_loader(load_tree)
+            signature = cached_signature(store, page.html)
+            if signature is None:
+                continue
+            try:
+                page.prime_signature(
+                    tag_counts={
+                        str(tag): int(count)
+                        for tag, count in signature["tag_counts"].items()
+                    },
+                    term_counts={
+                        str(term): int(count)
+                        for term, count in signature["term_counts"].items()
+                    },
+                    max_fanout=int(signature["max_fanout"]),
+                )
+            except (TypeError, ValueError, AttributeError):
+                continue  # malformed bundle: fall back to computing
+            primed.add(id(page))
         return primed
 
     def _persist_signatures(self, pages: Sequence[Page], primed: set[int]) -> None:
@@ -554,8 +468,8 @@ class Thor:
 
     def _partition_one(self, pagelet: QAPagelet) -> Optional[PartitionedPagelet]:
         """Partition one pagelet; ``None`` (after quarantining) on a
-        :class:`~repro.errors.ThorError`. Pure per pagelet, so the
-        barriered loop and the streaming overlap call it identically."""
+        :class:`~repro.errors.ThorError`. Pure per pagelet, so full
+        partitioning and the incremental replay call it identically."""
         try:
             return run_stage(
                 lambda: self._partitioner.partition(pagelet),
@@ -684,10 +598,6 @@ class Thor:
         makes the fallback digest match a cold run by construction.
         """
         self._report.incremental_event("refit", len(pages))
-        if options is not None and options.streaming:
-            return self._extract_partition_streaming(
-                pages, store=store, manifest=manifest, options=options
-            )
         result = self._extract_guarded(
             pages, store=store, manifest=manifest, options=options
         )
@@ -1024,57 +934,6 @@ class Thor:
             clusters=tuple(cluster_records),
         )
 
-    def _extract_partition_streaming(
-        self,
-        pages: Sequence[Page],
-        *,
-        store=None,
-        manifest=None,
-        options: Optional[RunOptions] = None,
-    ) -> ThorResult:
-        """Stages 2+3 overlapped: partition cluster ``i``'s pagelets
-        while cluster ``i+1`` identifies.
-
-        A one-worker thread pool keeps partitioning strictly in pagelet
-        order; futures are collected in submission order, so the
-        ``partitioned`` tuple — and therefore the result digest — is
-        bitwise identical to the barriered
-        ``extract()`` → ``partition()`` sequence. Quarantine records
-        from the two stages may *interleave* differently on the run
-        report (the report is accounting, excluded from digests and
-        result equality), but their contents match the barriered run's.
-        """
-        from concurrent.futures import Future, ThreadPoolExecutor
-
-        futures: list[Future] = []
-        with ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="thor-streaming-partition"
-        ) as pool:
-            def on_identified(result: IdentificationResult) -> None:
-                for pagelet in result.pagelets:
-                    futures.append(pool.submit(self._partition_one, pagelet))
-
-            extracted = self._extract_guarded(
-                pages,
-                on_identified=on_identified,
-                store=store,
-                manifest=manifest,
-                options=options,
-            )
-            partitioned = [
-                entry
-                for entry in (future.result() for future in futures)
-                if entry is not None
-            ]
-        return ThorResult(
-            pages=extracted.pages,
-            clustering=extracted.clustering,
-            identifications=extracted.identifications,
-            pagelets=extracted.pagelets,
-            partitioned=tuple(partitioned),
-            report=self.report(),
-        )
-
     # -- all together ------------------------------------------------------
 
     def _open_checkpoint(self, options: RunOptions):
@@ -1110,19 +969,13 @@ class Thor:
     def run(
         self,
         source: DeepWebSource,
-        run_id: Optional[str] = None,
-        resume: bool = False,
-        streaming: bool = False,
         options: Optional[RunOptions] = None,
     ) -> ThorResult:
         """Probe, extract, and partition in one call.
 
         Invocation behavior rides on a
-        :class:`~repro.config.RunOptions` (``options``); the individual
-        keyword arguments remain as a convenience and are consulted
-        only when ``options`` is not given.
-
-        With ``run_id`` set (and a persistent artifact store
+        :class:`~repro.config.RunOptions` (``options``). With
+        ``options.run_id`` set (and a persistent artifact store
         configured), the run checkpoints each completed stage in a run
         manifest; ``resume=True`` then skips stages the manifest marks
         complete — after a crash, a resumed run re-probes nothing,
@@ -1131,19 +984,9 @@ class Thor:
         from the warm artifact cache, producing a result digest
         bitwise-identical to an uninterrupted run. Resume hits are
         accounted on the run report.
-
-        ``streaming=True`` runs the same pipeline single-pass: pages
-        prewarm Phase-2 state as the probe returns them
-        (:meth:`_streamed_probe`) and partitioning overlaps
-        identification (:meth:`_extract_partition_streaming`) instead
-        of barriering between stages. Streaming changes scheduling
-        only — result digests are bitwise identical to a barriered
-        run, and quarantine/recovery semantics are unchanged.
         """
         if options is None:
-            options = RunOptions(
-                run_id=run_id, resume=resume, streaming=streaming
-            )
+            options = RunOptions()
         with activate_fault_plan(self.fault_plan), activate_report(self._report):
             store = manifest = None
             if options.run_id is not None or options.resume:
@@ -1161,11 +1004,7 @@ class Thor:
                 # fall through to re-probing.
             if pages is None:
                 self._notify_stage(options, "probe")
-                if options.streaming:
-                    probe_result = self._streamed_probe(source)
-                else:
-                    probe_result = self._probe_guarded(source)
-                pages = list(probe_result.pages)
+                pages = list(self._probe_guarded(source).pages)
                 if manifest is not None:
                     payload_key = save_probe_checkpoint(
                         store, options.run_id, pages
@@ -1177,10 +1016,6 @@ class Thor:
             self._notify_stage(options, "extract")
             if options.incremental:
                 result = self._refresh_guarded(
-                    pages, store=store, manifest=manifest, options=options
-                )
-            elif options.streaming:
-                result = self._extract_partition_streaming(
                     pages, store=store, manifest=manifest, options=options
                 )
             else:

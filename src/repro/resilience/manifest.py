@@ -3,10 +3,10 @@
 A run manifest records, per named run, which pipeline stages have
 completed and where their artifacts live, so a crashed run can be
 resumed (``repro run --resume <run-id>`` /
-``Thor.run(source, run_id=..., resume=True)``) without redoing
-finished work — and, because every checkpoint stores exactly what the
-live stage produced, with a result digest bitwise-identical to an
-uninterrupted run.
+``Thor.run(source, options=RunOptions(run_id=..., resume=True))``)
+without redoing finished work — and, because every checkpoint stores
+exactly what the live stage produced, with a result digest
+bitwise-identical to an uninterrupted run.
 
 Manifests live in the same content-addressed artifact store as every
 other intermediate (kind ``runs``), published atomically, so a crash

@@ -22,7 +22,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from repro.config import ExecutionConfig, ThorConfig
+from repro.config import ExecutionConfig, RunOptions, ThorConfig
 from repro.core.page import Page
 from repro.core.thor import Thor
 from repro.deepweb import generate_corpus, make_site
@@ -174,9 +174,11 @@ class TestResumableRuns:
             seed=4, execution=ExecutionConfig(cache_dir=str(tmp_path))
         )
         site = lambda: make_site("travel", seed=4, records=60)  # noqa: E731
-        first = Thor(config).run(site(), run_id="r1")
+        first = Thor(config).run(site(), options=RunOptions(run_id="r1"))
         resumed_thor = Thor(config)
-        second = resumed_thor.run(site(), run_id="r1", resume=True)
+        second = resumed_thor.run(
+            site(), options=RunOptions(run_id="r1", resume=True)
+        )
         assert result_digest(first) == result_digest(second)
         # The resumed run restores both checkpoints: the probe sample
         # and the Phase-1 cluster fit.
@@ -185,12 +187,13 @@ class TestResumableRuns:
     def test_resume_under_different_config_refuses(self, tmp_path):
         execution = ExecutionConfig(cache_dir=str(tmp_path))
         site = make_site("travel", seed=4, records=60)
-        Thor(ThorConfig(seed=4, execution=execution)).run(site, run_id="r1")
+        Thor(ThorConfig(seed=4, execution=execution)).run(
+            site, options=RunOptions(run_id="r1")
+        )
         with pytest.raises(ResumeError, match="configuration"):
             Thor(ThorConfig(seed=5, execution=execution)).run(
                 make_site("travel", seed=5, records=60),
-                run_id="r1",
-                resume=True,
+                options=RunOptions(run_id="r1", resume=True),
             )
 
     def test_run_id_without_store_refuses(self):
@@ -199,7 +202,8 @@ class TestResumableRuns:
         )
         with pytest.raises(ResumeError, match="cache"):
             Thor(config).run(
-                make_site("travel", seed=4, records=60), run_id="r1"
+                make_site("travel", seed=4, records=60),
+                options=RunOptions(run_id="r1"),
             )
 
     def test_resume_with_no_prior_checkpoint_just_runs(self, tmp_path):
@@ -208,10 +212,18 @@ class TestResumableRuns:
         )
         thor = Thor(config)
         result = thor.run(
-            make_site("travel", seed=4, records=60), run_id="new", resume=True
+            make_site("travel", seed=4, records=60),
+            options=RunOptions(run_id="new", resume=True),
         )
         assert result.pagelets
         assert thor.report().resume_hits == ()
+
+    def test_run_takes_options_only(self):
+        # run_id/resume/streaming ride on RunOptions, nowhere else.
+        thor = Thor(ThorConfig(seed=4))
+        for kwarg in ("run_id", "resume", "streaming"):
+            with pytest.raises(TypeError):
+                thor.run(make_site("travel", seed=4), **{kwarg: True})
 
 
 class TestCliChaosSmoke:

@@ -53,6 +53,17 @@ class TestParser:
                     build_parser().parse_args(command + flag)
                 assert excinfo.value.code == 2
 
+    def test_streaming_flag_removed(self, capsys):
+        # One run schedule: run and fleet no longer take --streaming.
+        for command in (["run"], ["fleet", "--sites", "music"]):
+            assert "streaming" not in vars(build_parser().parse_args(command))
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(command + ["--streaming"])
+            assert excinfo.value.code == 2
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(command + ["--help"])
+            assert "--streaming" not in capsys.readouterr().out
+
     def test_backend_rejects_unknown(self):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["demo", "--backend", "fortran"])

@@ -16,6 +16,8 @@ from repro.config import CrawlConfig, ExecutionConfig, RunOptions, ThorConfig
 from repro.discovery.web import SimulatedWeb
 from repro.errors import ConfigError
 from repro.frontier.service import CrawlService, run_crawl
+from repro.html.forms import find_search_forms
+from repro.html.parser import parse
 from repro.probe.faults import FaultSpec
 from repro.resilience import FaultPlan
 
@@ -216,20 +218,29 @@ class TestDiscoveryBridge:
             assert discovered.found_on.startswith("http://")
             assert discovered.depth >= 0
 
-    def test_matches_breadth_first_crawler(self):
-        # The frontier service and the simple BFS crawler must agree on
-        # what the corpus *is* — same fetch set, same unique forms.
-        from repro.discovery.crawler import BreadthFirstCrawler
+    def test_fetch_depths_nondecreasing(self):
+        # Breadth-first order: no page is fetched before every page of
+        # a shallower depth that the crawl reaches.
+        report = run_crawl(web(n_pages=12), config=config(max_pages=500))
+        assert report.exhausted
+        depths = [page.depth for page in report.pages]
+        assert depths == sorted(depths)
+        assert depths[-1] > 0
 
-        source = web(n_pages=12)
-        bfs = BreadthFirstCrawler(source.fetch, max_pages=500).crawl(
-            [source.seed_url]
-        )
-        report = run_crawl(source, config=config(max_pages=500))
-        assert {p.url for p in report.pages} == set(bfs.visited)
-        assert sorted(d.form.action for d in report.forms) == sorted(
-            bfs.unique_actions
-        )
+    def test_forms_in_first_seen_order(self):
+        # Each unique action is recorded once, on the first fetched page
+        # that carries it, and forms keep that page's fetch order.
+        report = run_crawl(web(n_pages=12), config=config(max_pages=500))
+        first_seen: dict[str, tuple[str, int]] = {}
+        for page in report.pages:
+            tree = parse(page.html, url=page.url)
+            for form in find_search_forms(tree):
+                if form.action:
+                    first_seen.setdefault(form.action, (page.url, page.depth))
+        assert len(first_seen) > 1
+        assert [
+            (d.form.action, d.found_on, d.depth) for d in report.forms
+        ] == [(action, *where) for action, where in first_seen.items()]
 
     def test_exclusions_keep_urls_out(self):
         everything = run_crawl(web(), config=config(max_pages=100))

@@ -199,8 +199,11 @@ class TestRunOptionsAndFleetConfig:
         options = RunOptions()
         assert options.run_id is None
         assert options.resume is False
-        assert options.streaming is False
         assert options.fault_plan is None
+        assert options.incremental is False
+        # One run schedule: the streaming option is gone.
+        with pytest.raises(TypeError):
+            RunOptions(streaming=True)
 
     def test_run_options_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
