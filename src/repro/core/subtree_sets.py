@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
@@ -315,6 +316,10 @@ def _as_candidate(page_index: int, item, codec: TagCodec) -> SubtreeCandidate:
     return make_candidate_from_record(page_index, item, codec)
 
 
+#: Sort key of an assignable ``(distance, set, candidate)`` pair.
+_by_distance = itemgetter(0)
+
+
 def find_common_subtree_sets(
     candidates_per_page: Sequence[Sequence[Any]],
     weights: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25),
@@ -380,15 +385,21 @@ def find_common_subtree_sets(
         pairs = _assignable_pairs(
             prototypes, page_candidates, weights, max_assign_distance
         )
-        pairs.sort(key=lambda t: t[0])
+        # Stable sort: ties keep row-major (set, then candidate) order.
+        pairs.sort(key=_by_distance)
+        # Once every set or every candidate is taken, no later pair
+        # can be accepted, so the scan stops there.
+        capacity = min(len(sets), len(page_candidates))
         used_sets: set[int] = set()
         used_candidates: set[int] = set()
-        for distance, set_index, cand_index in pairs:
+        for _, set_index, cand_index in pairs:
             if set_index in used_sets or cand_index in used_candidates:
                 continue
             sets[set_index].members[page_index] = page_candidates[cand_index]
             used_sets.add(set_index)
             used_candidates.add(cand_index)
+            if len(used_sets) == capacity:
+                break
     return sets
 
 
@@ -402,7 +413,12 @@ def _assignable_pairs(
     ``max_assign_distance``, in row-major (set, then candidate) order."""
     distances = shape_distance_matrix(prototypes, page_candidates, weights)
     set_rows, cand_cols = np.nonzero(distances <= max_assign_distance)
-    return [
-        (float(distances[s, c]), int(s), int(c))
-        for s, c in zip(set_rows, cand_cols)
-    ]
+    # ``tolist`` converts whole columns to built-in floats and ints at
+    # once instead of one numpy scalar per element.
+    return list(
+        zip(
+            distances[set_rows, cand_cols].tolist(),
+            set_rows.tolist(),
+            cand_cols.tolist(),
+        )
+    )

@@ -16,19 +16,23 @@ malformed markup; recovery follows what browsers of that period did:
 Tag and attribute names are lower-cased at tokenization time, which is
 half of what HTML Tidy did for the paper's preprocessing (the other
 half — implicit closing — lives in the parser and :mod:`repro.html.tidy`).
+
+The scanners are compiled :mod:`re` patterns; ``tests/oracles.py``
+keeps the character-at-a-time scanner they must agree with token for
+token.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from typing import Iterator, Union
+
+from repro.html.entities import decode_entities
 
 #: Elements whose content is raw text (no nested markup).
 RAWTEXT_ELEMENTS = frozenset({"script", "style", "textarea", "title"})
 
-_NAME_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_NAME_CHARS = _NAME_START | frozenset("0123456789-_:.")
-_SPACE = frozenset(" \t\n\r\f")
 
 
 @dataclass(frozen=True)
@@ -79,152 +83,89 @@ class Doctype:
 Token = Union[StartTag, EndTag, Text, Comment, Doctype]
 
 
-@dataclass
-class _Cursor:
-    """Mutable scan position over the source text."""
+# Whitespace is spelled out as ``[ \t\n\r\f]`` throughout, never
+# ``\s``, which would also match ``\v`` and the Unicode spaces. Names
+# are ASCII: a letter, then letters, digits and ``_:.-``.
 
-    text: str
-    pos: int = 0
-    length: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.length = len(self.text)
-
-    def eof(self) -> bool:
-        return self.pos >= self.length
-
-    def peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        if index < self.length:
-            return self.text[index]
-        return ""
-
-    def advance(self, count: int = 1) -> None:
-        self.pos += count
-
-    def skip_space(self) -> None:
-        while self.pos < self.length and self.text[self.pos] in _SPACE:
-            self.pos += 1
-
-
-def _scan_name(cur: _Cursor) -> str:
-    start = cur.pos
-    while not cur.eof() and cur.peek() in _NAME_CHARS:
-        cur.advance()
-    return cur.text[start : cur.pos].lower()
-
-
-def _scan_attribute_value(cur: _Cursor) -> str:
-    from repro.html.entities import decode_entities
-
-    quote = cur.peek()
-    if quote in ('"', "'"):
-        cur.advance()
-        start = cur.pos
-        end = cur.text.find(quote, start)
-        if end == -1:
-            # Unterminated quote: take everything to end of document.
-            end = cur.length
-            cur.pos = end
-        else:
-            cur.pos = end + 1
-        return decode_entities(cur.text[start:end])
-    start = cur.pos
-    while not cur.eof() and cur.peek() not in _SPACE and cur.peek() not in (">", "/"):
-        cur.advance()
-    return decode_entities(cur.text[start : cur.pos])
+#: A ``<`` that opens markup; any other ``<`` is text. Group 1 is a
+#: start tag's name and group 2 its ``>`` when no attribute follows;
+#: group 3 is an end tag's name (possibly empty), the match running
+#: through its ``>`` (or to EOF); group 4 is the ``!`` of a comment or
+#: declaration, or the ``?`` of a processing instruction.
+_MARKUP = re.compile(
+    r"<(?:([A-Za-z][A-Za-z0-9_:.\-]*)(>)?|/([A-Za-z0-9_:.\-]*)[^>]*>?|([!?]))"
+)
+#: One step through a start tag's attributes. An unterminated quoted
+#: value runs to the end of the document. The match fails only when
+#: nothing but whitespace is left.
+_ATTRIBUTE_STEP = re.compile(
+    r"""
+    [ \t\n\r\f]*
+    (?:
+        (>)                                         # 1: end of tag
+      | (/) [ \t\n\r\f]* (>)?                       # 2: slash; 3: self-closing end
+      | ([A-Za-z][A-Za-z0-9_:.\-]*) [ \t\n\r\f]*    # 4: attribute name
+        (?: = [ \t\n\r\f]*
+            (?: "([^"]*)"?                          # 5: double-quoted value
+              | '([^']*)'?                          # 6: single-quoted value
+              | ([^ \t\n\r\f>/]*) ) )?              # 7: bare value
+      | [^ \t\n\r\f]                                # junk between attributes
+    )
+    """,
+    re.VERBOSE,
+)
+#: ``</element`` in any ASCII case, for each raw-text element.
+_RAWTEXT_CLOSE = {
+    name: re.compile("</" + name, re.IGNORECASE | re.ASCII)
+    for name in RAWTEXT_ELEMENTS
+}
 
 
-def _scan_attributes(cur: _Cursor) -> tuple[tuple[tuple[str, str], ...], bool]:
-    """Scan attributes up to (and past) the closing ``>``.
+def _scan_attributes(
+    html: str, pos: int
+) -> tuple[tuple[tuple[str, str], ...], bool, int]:
+    """Scan attributes from ``pos`` up to (and past) the closing ``>``.
 
-    Returns the attribute pairs and whether the tag was self-closing.
+    Returns the attribute pairs, whether the tag was self-closing, and
+    the position after the tag.
     """
     attrs: list[tuple[str, str]] = []
-    self_closing = False
-    while True:
-        cur.skip_space()
-        if cur.eof():
-            break
-        ch = cur.peek()
-        if ch == ">":
-            cur.advance()
-            break
-        if ch == "/":
-            cur.advance()
-            cur.skip_space()
-            if cur.peek() == ">":
-                cur.advance()
-                self_closing = True
-                break
-            continue
-        if ch not in _NAME_START:
-            # Junk between attributes: skip one character and retry.
-            cur.advance()
-            continue
-        name = _scan_name(cur)
-        cur.skip_space()
-        value = ""
-        if cur.peek() == "=":
-            cur.advance()
-            cur.skip_space()
-            value = _scan_attribute_value(cur)
-        attrs.append((name, value))
-    return tuple(attrs), self_closing
+    for step in _ATTRIBUTE_STEP.finditer(html, pos):
+        close, slash, self_close, name, double, single, bare = step.groups()
+        if close or self_close:
+            return tuple(attrs), slash is not None, step.end()
+        if name is not None:
+            # At most one value group matched; a missing value is "".
+            value = double or single or bare or ""
+            attrs.append((name.lower(), decode_entities(value)))
+    return tuple(attrs), False, len(html)
 
 
-def _scan_comment(cur: _Cursor) -> Comment:
-    # cur is positioned just after "<!--".
-    end = cur.text.find("-->", cur.pos)
-    if end == -1:
-        data = cur.text[cur.pos :]
-        cur.pos = cur.length
-    else:
-        data = cur.text[cur.pos : end]
-        cur.pos = end + 3
-    return Comment(data)
+def _scan_declaration(html: str, pos: int) -> tuple[Token, int]:
+    """Scan a ``<!`` construct; ``pos`` is just after the ``<!``.
 
-
-def _scan_declaration(cur: _Cursor) -> Token:
-    # cur is positioned just after "<!".
-    rest = cur.text[cur.pos : cur.pos + 7].lower()
-    if rest.startswith("doctype"):
-        end = cur.text.find(">", cur.pos)
+    Returns the token and the position after it.
+    """
+    if html.startswith("--", pos):
+        end = html.find("-->", pos + 2)
         if end == -1:
-            end = cur.length
-        data = cur.text[cur.pos + 7 : end].strip()
-        cur.pos = min(end + 1, cur.length)
-        return Doctype(data)
-    if cur.text.startswith("[CDATA[", cur.pos):
-        end = cur.text.find("]]>", cur.pos + 7)
+            return Comment(html[pos + 2 :]), len(html)
+        return Comment(html[pos + 2 : end]), end + 3
+    if html[pos : pos + 7].lower() == "doctype":
+        end = html.find(">", pos)
         if end == -1:
-            data = cur.text[cur.pos + 7 :]
-            cur.pos = cur.length
-        else:
-            data = cur.text[cur.pos + 7 : end]
-            cur.pos = end + 3
-        return Text(data)
+            end = len(html)
+        return Doctype(html[pos + 7 : end].strip()), min(end + 1, len(html))
+    if html.startswith("[CDATA[", pos):
+        end = html.find("]]>", pos + 7)
+        if end == -1:
+            return Text(html[pos + 7 :]), len(html)
+        return Text(html[pos + 7 : end]), end + 3
     # Bogus declaration: consume to ">" and emit as comment.
-    end = cur.text.find(">", cur.pos)
+    end = html.find(">", pos)
     if end == -1:
-        end = cur.length
-    data = cur.text[cur.pos : end]
-    cur.pos = min(end + 1, cur.length)
-    return Comment(data)
-
-
-def _scan_rawtext(cur: _Cursor, element: str) -> str:
-    """Consume raw text until ``</element``, leaving the cursor on it."""
-    needle = "</" + element
-    lower = cur.text.lower()
-    end = lower.find(needle, cur.pos)
-    if end == -1:
-        data = cur.text[cur.pos :]
-        cur.pos = cur.length
-    else:
-        data = cur.text[cur.pos : end]
-        cur.pos = end
-    return data
+        end = len(html)
+    return Comment(html[pos:end]), min(end + 1, len(html))
 
 
 def tokenize(html: str) -> Iterator[Token]:
@@ -236,68 +177,46 @@ def tokenize(html: str) -> Iterator[Token]:
     >>> [t for t in tokenize('<b>hi</b>')]
     [StartTag(name='b', attrs=(), self_closing=False), Text(data='hi'), EndTag(name='b')]
     """
-    from repro.html.entities import decode_entities
-
-    cur = _Cursor(html)
+    length = len(html)
+    pos = 0
     text_start = 0
-
-    def flush_text(upto: int) -> Iterator[Text]:
-        if upto > text_start:
-            data = cur.text[text_start:upto]
-            if data:
-                yield Text(decode_entities(data))
-
-    while not cur.eof():
-        lt = cur.text.find("<", cur.pos)
-        if lt == -1:
-            cur.pos = cur.length
-            yield from flush_text(cur.length)
-            return
-        nxt = cur.text[lt + 1] if lt + 1 < cur.length else ""
-        if nxt in _NAME_START:
-            yield from flush_text(lt)
-            cur.pos = lt + 1
-            name = _scan_name(cur)
-            attrs, self_closing = _scan_attributes(cur)
-            yield StartTag(name, attrs, self_closing)
-            if name in RAWTEXT_ELEMENTS and not self_closing:
-                raw = _scan_rawtext(cur, name)
-                if raw:
-                    yield Text(raw)
-                # Consume the close tag if present.
-                if cur.text.lower().startswith("</" + name, cur.pos):
-                    cur.pos += 2 + len(name)
-                    end = cur.text.find(">", cur.pos)
-                    cur.pos = cur.length if end == -1 else end + 1
-                    yield EndTag(name)
-            text_start = cur.pos
-        elif nxt == "/":
-            yield from flush_text(lt)
-            cur.pos = lt + 2
-            name = _scan_name(cur)
-            end = cur.text.find(">", cur.pos)
-            cur.pos = cur.length if end == -1 else end + 1
-            if name:
-                yield EndTag(name)
-            text_start = cur.pos
-        elif nxt == "!":
-            yield from flush_text(lt)
-            cur.pos = lt + 2
-            if cur.text.startswith("--", cur.pos):
-                cur.pos += 2
-                yield _scan_comment(cur)
+    while True:
+        markup = _MARKUP.search(html, pos)
+        if markup is None:
+            break
+        lt = markup.start()
+        if lt > text_start:
+            yield Text(decode_entities(html[text_start:lt]))
+        name, bare_close, end_name, bang = markup.groups()
+        if name is not None:
+            tag = name.lower()
+            if bare_close:
+                attrs, self_closing, pos = (), False, markup.end()
             else:
-                yield _scan_declaration(cur)
-            text_start = cur.pos
-        elif nxt == "?":
-            # Processing instruction (e.g. <?xml ...?>): skip as comment.
-            yield from flush_text(lt)
-            end = cur.text.find(">", lt + 2)
-            data_end = cur.length if end == -1 else end
-            yield Comment(cur.text[lt + 2 : data_end])
-            cur.pos = cur.length if end == -1 else end + 1
-            text_start = cur.pos
+                attrs, self_closing, pos = _scan_attributes(html, markup.end())
+            yield StartTag(tag, attrs, self_closing)
+            if tag in RAWTEXT_ELEMENTS and not self_closing:
+                close = _RAWTEXT_CLOSE[tag].search(html, pos)
+                raw_end = length if close is None else close.start()
+                if raw_end > pos:
+                    yield Text(html[pos:raw_end])
+                pos = raw_end
+                if close is not None:
+                    end = html.find(">", close.end())
+                    pos = length if end == -1 else end + 1
+                    yield EndTag(tag)
+        elif end_name is not None:
+            pos = markup.end()
+            if end_name:
+                yield EndTag(end_name.lower())
+        elif bang == "!":
+            token, pos = _scan_declaration(html, lt + 2)
+            yield token
         else:
-            # Stray "<": treat as text and keep scanning.
-            cur.pos = lt + 1
-    yield from flush_text(cur.length)
+            # Processing instruction (e.g. <?xml ...?>): skip as comment.
+            end = html.find(">", lt + 2)
+            yield Comment(html[lt + 2 : length if end == -1 else end])
+            pos = length if end == -1 else end + 1
+        text_start = pos
+    if length > text_start:
+        yield Text(decode_entities(html[text_start:]))

@@ -1,11 +1,13 @@
-"""Scalar reference implementations of the pipeline's numpy kernels.
+"""Scalar reference implementations of the pipeline's fast kernels.
 
 The pipeline computes every stage one way: with the dense numpy
-kernels. This module keeps the readable form of each of those
-computations — one ``cosine_similarity`` per (vector, center) pair, one
-dynamic-programming cell at a time, one subtree distance per pair — as
-the oracle the equivalence tests (and the Figure-5 speedup bench)
-compare the production path against. Production code never imports it.
+kernels and the compiled-regex HTML scanners. This module keeps the
+readable form of each of those computations — one
+``cosine_similarity`` per (vector, center) pair, one
+dynamic-programming cell at a time, one subtree distance per pair, one
+HTML character per tokenizer step — as the oracle the equivalence
+tests (and the Figure-5 speedup bench) compare the production path
+against. Production code never imports it.
 
 Where an oracle draws from a seeded RNG it does so call for call like
 the production kernel, so seeded runs compare label for label.
@@ -15,7 +17,8 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from repro.cluster.assignments import Clustering
 from repro.cluster.hierarchical import AgglomerativeResult, AverageLinkClusterer
@@ -29,6 +32,16 @@ from repro.core.subtree_sets import (
     shape_distance,
 )
 from repro.errors import ClusteringError
+from repro.html.entities import decode_entities
+from repro.html.tokenizer import (
+    RAWTEXT_ELEMENTS,
+    Comment,
+    Doctype,
+    EndTag,
+    StartTag,
+    Text,
+    Token,
+)
 from repro.html.tree import TagNode, TagTree
 from repro.runtime import restart_seed_streams, run_restarts, select_best
 from repro.text.terms import DEFAULT_EXTRACTOR, TermExtractor
@@ -397,3 +410,222 @@ def intra_set_similarity(
     non_zero = sum(1 for v in vectors if not v.is_zero())
     pair_sum = (composite.norm**2 - non_zero) / 2.0
     return _clamp_unit(pair_sum / (n * (n - 1) / 2.0))
+
+
+# ---------------------------------------------------------------------------
+# HTML tokenizer (repro.html.tokenizer)
+# ---------------------------------------------------------------------------
+
+_NAME_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_NAME_CHARS = _NAME_START | frozenset("0123456789-_:.")
+_SPACE = frozenset(" \t\n\r\f")
+
+
+@dataclass
+class _Cursor:
+    """Mutable scan position over the source text."""
+
+    text: str
+    pos: int = 0
+    length: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.length = len(self.text)
+
+    def eof(self) -> bool:
+        return self.pos >= self.length
+
+    def peek(self, offset: int = 0) -> str:
+        index = self.pos + offset
+        if index < self.length:
+            return self.text[index]
+        return ""
+
+    def advance(self, count: int = 1) -> None:
+        self.pos += count
+
+    def skip_space(self) -> None:
+        while self.pos < self.length and self.text[self.pos] in _SPACE:
+            self.pos += 1
+
+
+def _scan_name(cur: _Cursor) -> str:
+    start = cur.pos
+    while not cur.eof() and cur.peek() in _NAME_CHARS:
+        cur.advance()
+    return cur.text[start : cur.pos].lower()
+
+
+def _scan_attribute_value(cur: _Cursor) -> str:
+    quote = cur.peek()
+    if quote in ('"', "'"):
+        cur.advance()
+        start = cur.pos
+        end = cur.text.find(quote, start)
+        if end == -1:
+            # Unterminated quote: take everything to end of document.
+            end = cur.length
+            cur.pos = end
+        else:
+            cur.pos = end + 1
+        return decode_entities(cur.text[start:end])
+    start = cur.pos
+    while not cur.eof() and cur.peek() not in _SPACE and cur.peek() not in (">", "/"):
+        cur.advance()
+    return decode_entities(cur.text[start : cur.pos])
+
+
+def _scan_attributes(cur: _Cursor) -> tuple[tuple[tuple[str, str], ...], bool]:
+    attrs: list[tuple[str, str]] = []
+    self_closing = False
+    while True:
+        cur.skip_space()
+        if cur.eof():
+            break
+        ch = cur.peek()
+        if ch == ">":
+            cur.advance()
+            break
+        if ch == "/":
+            cur.advance()
+            cur.skip_space()
+            if cur.peek() == ">":
+                cur.advance()
+                self_closing = True
+                break
+            continue
+        if ch not in _NAME_START:
+            # Junk between attributes: skip one character and retry.
+            cur.advance()
+            continue
+        name = _scan_name(cur)
+        cur.skip_space()
+        value = ""
+        if cur.peek() == "=":
+            cur.advance()
+            cur.skip_space()
+            value = _scan_attribute_value(cur)
+        attrs.append((name, value))
+    return tuple(attrs), self_closing
+
+
+def _scan_comment(cur: _Cursor) -> Comment:
+    # cur is positioned just after "<!--".
+    end = cur.text.find("-->", cur.pos)
+    if end == -1:
+        data = cur.text[cur.pos :]
+        cur.pos = cur.length
+    else:
+        data = cur.text[cur.pos : end]
+        cur.pos = end + 3
+    return Comment(data)
+
+
+def _scan_declaration(cur: _Cursor) -> Token:
+    # cur is positioned just after "<!".
+    rest = cur.text[cur.pos : cur.pos + 7].lower()
+    if rest.startswith("doctype"):
+        end = cur.text.find(">", cur.pos)
+        if end == -1:
+            end = cur.length
+        data = cur.text[cur.pos + 7 : end].strip()
+        cur.pos = min(end + 1, cur.length)
+        return Doctype(data)
+    if cur.text.startswith("[CDATA[", cur.pos):
+        end = cur.text.find("]]>", cur.pos + 7)
+        if end == -1:
+            data = cur.text[cur.pos + 7 :]
+            cur.pos = cur.length
+        else:
+            data = cur.text[cur.pos + 7 : end]
+            cur.pos = end + 3
+        return Text(data)
+    # Bogus declaration: consume to ">" and emit as comment.
+    end = cur.text.find(">", cur.pos)
+    if end == -1:
+        end = cur.length
+    data = cur.text[cur.pos : end]
+    cur.pos = min(end + 1, cur.length)
+    return Comment(data)
+
+
+def _at_close_tag(cur: _Cursor, element: str) -> bool:
+    """True when ``</element`` (in any case) starts at the cursor."""
+    needle = "</" + element
+    return cur.text[cur.pos : cur.pos + len(needle)].lower() == needle
+
+
+def _scan_rawtext(cur: _Cursor, element: str) -> str:
+    """Consume raw text until ``</element``, leaving the cursor on it."""
+    start = cur.pos
+    while not cur.eof() and not _at_close_tag(cur, element):
+        cur.advance()
+    return cur.text[start : cur.pos]
+
+
+def tokenize_html(html: str) -> Iterator[Token]:
+    """The character-stepping tokenizer: one ``peek``/``advance`` per
+    character of every name, attribute and bare value."""
+    cur = _Cursor(html)
+    text_start = 0
+
+    def flush_text(upto: int) -> Iterator[Text]:
+        if upto > text_start:
+            data = cur.text[text_start:upto]
+            if data:
+                yield Text(decode_entities(data))
+
+    while not cur.eof():
+        lt = cur.text.find("<", cur.pos)
+        if lt == -1:
+            cur.pos = cur.length
+            yield from flush_text(cur.length)
+            return
+        nxt = cur.text[lt + 1] if lt + 1 < cur.length else ""
+        if nxt in _NAME_START:
+            yield from flush_text(lt)
+            cur.pos = lt + 1
+            name = _scan_name(cur)
+            attrs, self_closing = _scan_attributes(cur)
+            yield StartTag(name, attrs, self_closing)
+            if name in RAWTEXT_ELEMENTS and not self_closing:
+                raw = _scan_rawtext(cur, name)
+                if raw:
+                    yield Text(raw)
+                # Consume the close tag if present.
+                if _at_close_tag(cur, name):
+                    cur.pos += 2 + len(name)
+                    end = cur.text.find(">", cur.pos)
+                    cur.pos = cur.length if end == -1 else end + 1
+                    yield EndTag(name)
+            text_start = cur.pos
+        elif nxt == "/":
+            yield from flush_text(lt)
+            cur.pos = lt + 2
+            name = _scan_name(cur)
+            end = cur.text.find(">", cur.pos)
+            cur.pos = cur.length if end == -1 else end + 1
+            if name:
+                yield EndTag(name)
+            text_start = cur.pos
+        elif nxt == "!":
+            yield from flush_text(lt)
+            cur.pos = lt + 2
+            if cur.text.startswith("--", cur.pos):
+                cur.pos += 2
+                yield _scan_comment(cur)
+            else:
+                yield _scan_declaration(cur)
+            text_start = cur.pos
+        elif nxt == "?":
+            # Processing instruction (e.g. <?xml ...?>): skip as comment.
+            yield from flush_text(lt)
+            end = cur.text.find(">", lt + 2)
+            data_end = cur.length if end == -1 else end
+            yield Comment(cur.text[lt + 2 : data_end])
+            cur.pos = cur.length if end == -1 else end + 1
+            text_start = cur.pos
+        else:
+            # Stray "<": treat as text and keep scanning.
+            cur.pos = lt + 1
+    yield from flush_text(cur.length)

@@ -12,6 +12,7 @@ from repro.core.single_page import candidate_subtrees
 from repro.core.subtree_sets import (
     CommonSubtreeSet,
     SubtreeCandidate,
+    _assignable_pairs,
     find_common_subtree_sets,
     make_candidate,
     shape_distance,
@@ -19,6 +20,7 @@ from repro.core.subtree_sets import (
 from repro.errors import ExtractionError
 from repro.html.metrics import SubtreeShape
 from repro.html.paths import TagCodec
+from tests import oracles
 
 
 def cand(path="html/body/table", fanout=3, depth=2, nodes=10, code="hbt"):
@@ -168,6 +170,98 @@ class TestFindCommonSubtreeSets:
         for subtree_set in sets:
             indices = [c.page_index for c in subtree_set.candidates()]
             assert indices == sorted(indices)
+
+
+def full_scan_members(candidates_per_page, prototype_index, max_assign_distance):
+    """Greedy one-to-one matching that visits every sorted pair.
+
+    Returns each set's members as ``{page: node}`` and how many pairs
+    were visited after every set or every candidate was taken.
+    """
+    weights = (0.25, 0.25, 0.25, 0.25)
+    codec = TagCodec(1)
+    prototypes = [
+        make_candidate(prototype_index, node, codec)
+        for node in candidates_per_page[prototype_index]
+    ]
+    members = [{prototype_index: p.node} for p in prototypes]
+    visited_after_full = 0
+    for page_index, nodes in enumerate(candidates_per_page):
+        if page_index == prototype_index or not nodes:
+            continue
+        page = [make_candidate(page_index, node, codec) for node in nodes]
+        pairs = oracles.assignable_pairs(prototypes, page, weights, max_assign_distance)
+        used_sets, used_candidates = set(), set()
+        for _, set_index, cand_index in sorted(pairs, key=lambda t: t[0]):
+            if min(len(prototypes), len(page)) == len(used_sets):
+                visited_after_full += 1
+            if set_index in used_sets or cand_index in used_candidates:
+                continue
+            members[set_index][page_index] = page[cand_index].node
+            used_sets.add(set_index)
+            used_candidates.add(cand_index)
+    return members, visited_after_full
+
+
+class TestAssignablePairs:
+    def test_assignable_pairs_equal_oracle_with_ties(self):
+        prototypes = [
+            cand(code="hbt", fanout=3),
+            cand(code="hbt", fanout=3),  # a duplicate prototype: tied rows
+            cand(code="hbtr", fanout=4, depth=3),
+            cand(code="hx", fanout=0, depth=1, nodes=1),
+        ]
+        page = [
+            cand(code="hbt", fanout=6),
+            cand(code="hbt", fanout=6),  # a duplicate candidate: tied columns
+            cand(code="hbtr", fanout=2, depth=3, nodes=5),
+            cand(code="q", fanout=9, depth=9, nodes=90),
+        ]
+        weights = (0.25, 0.25, 0.25, 0.25)
+        pairs = _assignable_pairs(prototypes, page, weights, 0.5)
+        assert pairs == oracles.assignable_pairs(prototypes, page, weights, 0.5)
+        assert all(
+            tuple(map(type, pair)) == (float, int, int) for pair in pairs
+        )
+        distances = [distance for distance, _, _ in pairs]
+        assert len(set(distances)) < len(distances)  # the case has ties
+        assert [pair[1:] for pair in pairs] == sorted(pair[1:] for pair in pairs)
+
+    def test_assignable_pairs_empty_when_nothing_in_range(self):
+        pairs = _assignable_pairs(
+            [cand(code="hbt")], [cand(code="xyzq", fanout=90)], (1.0, 0, 0, 0), 0.1
+        )
+        assert pairs == []
+
+    @pytest.mark.parametrize("prototype_index", [0, 1, 2])
+    @pytest.mark.parametrize("max_assign_distance", [0.2, 0.5, 1.0])
+    def test_assignable_early_exit_matches_full_scan(
+        self, prototype_index, max_assign_distance
+    ):
+        # Pages of 1, 6 and 3 result rows: prototypes with fewer
+        # candidates than a page (and more) both fill up early.
+        pages = make_pages([["a"], list("bcdefg"), ["h", "i", "j"]])
+        candidates = [candidate_subtrees(p) for p in pages]
+        sets = find_common_subtree_sets(
+            candidates,
+            max_assign_distance=max_assign_distance,
+            prototype_index=prototype_index,
+        )
+        expected, _ = full_scan_members(
+            candidates, prototype_index, max_assign_distance
+        )
+        got = [{page: m.node for page, m in s.members.items()} for s in sets]
+        assert [sorted(m) for m in got] == [sorted(m) for m in expected]
+        for got_members, expected_members in zip(got, expected):
+            for page, node in expected_members.items():
+                assert got_members[page] is node
+
+    def test_assignable_early_exit_skips_pairs(self):
+        # The case above does leave pairs after every slot is taken.
+        pages = make_pages([["a"], list("bcdefg"), ["h", "i", "j"]])
+        candidates = [candidate_subtrees(p) for p in pages]
+        _, visited_after_full = full_scan_members(candidates, 0, 1.0)
+        assert visited_after_full > 0
 
 
 class TestMakeCandidate:

@@ -150,6 +150,14 @@ class TestBreadthFirstCrawler:
         assert len(set(actions(report))) == 4
 
 
+    def test_tiny_web_with_too_few_leaves_still_places_portals(self):
+        # Seed 378 draws three hubs among the four non-seed pages.
+        source = SimulatedWeb(n_pages=5, n_portals=2, seed=378)
+        kinds = [spec.kind for spec in source._specs]
+        assert kinds.count("portal") == 2
+        assert kinds[0] == "hub"
+
+
 class TestSeedDeterminism:
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**16), n_pages=st.integers(5, 40))

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro import api
+from repro.config import ThorConfig
+from repro.deepweb.domains import DOMAINS
 from repro.html.tokenizer import (
     Comment,
     Doctype,
@@ -13,6 +16,7 @@ from repro.html.tokenizer import (
     Text,
     tokenize,
 )
+from tests import oracles
 
 
 def toks(html):
@@ -176,6 +180,143 @@ class TestSpecialConstructs:
     def test_script_close_tag_case_insensitive(self):
         result = toks("<SCRIPT>x</SCRIPT>")
         assert result[-1] == EndTag("script")
+
+
+class TestRawText:
+    """The raw-text close is found by one ASCII-case-insensitive search
+    for ``</name``; these pin the tokens the scan gives."""
+
+    def test_mixed_case_title_close(self):
+        assert toks("<title>A</TiTlE>b") == [
+            StartTag("title"),
+            Text("A"),
+            EndTag("title"),
+            Text("b"),
+        ]
+
+    def test_upper_case_script_close_with_space(self):
+        assert toks("<script>x</SCRIPT >y") == [
+            StartTag("script"),
+            Text("x"),
+            EndTag("script"),
+            Text("y"),
+        ]
+
+    def test_close_tag_name_prefix_closes(self):
+        # Only "</style" is looked for; what follows up to ">" is dropped.
+        assert toks("<style>p{}</stylex>q") == [
+            StartTag("style"),
+            Text("p{}"),
+            EndTag("style"),
+            Text("q"),
+        ]
+
+    def test_unterminated_script_keeps_raw_text(self):
+        # Raw text runs to the end and is not entity-decoded.
+        assert toks("<script>a &amp; <b>") == [
+            StartTag("script"),
+            Text("a &amp; <b>"),
+        ]
+
+    def test_unterminated_close_tag(self):
+        assert toks("<TITLE>t</title") == [StartTag("title"), Text("t"), EndTag("title")]
+
+    def test_partial_close_is_raw_text(self):
+        assert toks("<title>a</ti") == [StartTag("title"), Text("a</ti")]
+
+    def test_self_closing_title_is_not_raw_text(self):
+        assert toks("<title/>x</title>") == [
+            StartTag("title", (), True),
+            Text("x"),
+            EndTag("title"),
+        ]
+
+    def test_textarea_holds_markup(self):
+        assert toks("<textarea>a<b></TEXTAREA>") == [
+            StartTag("textarea"),
+            Text("a<b>"),
+            EndTag("textarea"),
+        ]
+
+    def test_length_changing_lowercase_before_raw_text(self):
+        # "İ".lower() is two characters; the close is still found at
+        # its own position in the source.
+        assert toks("İ<title>x</title>y") == [
+            Text("İ"),
+            StartTag("title"),
+            Text("x"),
+            EndTag("title"),
+            Text("y"),
+        ]
+
+    def test_only_ascii_case_folds(self):
+        # "ſ" (long s) case-folds to "s" under Unicode rules, not here.
+        assert toks("<script>x</ſcript>") == [StartTag("script"), Text("x</ſcript>")]
+
+
+#: Fragments of hostile markup for the oracle property test: markup
+#: openers, comment and CDATA delimiters, quotes, junk between
+#: attributes, whitespace the scanners must not treat as space (``\v``,
+#: NUL, no-break space), non-ASCII letters (two that case-fold to
+#: ASCII under Unicode rules, one whose lower case is two characters),
+#: entities and mixed-case raw-text closes.
+HOSTILE_FRAGMENTS = (
+    "<", "</", "<!", "<?", "--", "<!--", "-->", "<![CDATA[", "]]>",
+    "<!DOCTYPE", "<!doctype ", ">", "/>", "/", "=", '"', "'", '="', "='",
+    " ", "\t", "\n", "\r", "\f", "\v", "\x00", "\xa0", "\u3000",
+    "a", "B", "1", "-", "_", ":", ".", "@", "#", ";", "&",
+    "é", "ß", "İ", "ſ", "\u212a", "東京",
+    "&amp;", "&lt;", "&#65;", "&#x41;", "&bogus;", "&#;",
+    "<a", "<A", "<td", " href", " HREF", "=x", "<br/>",
+    "<title>", "<TITLE", "</TITLE", "</TiTlE>", "</title", "<script>",
+    "</SCRIPT >", "<style", "</style", "<textarea", "</textarea>",
+)
+
+#: Seven genres at two seeds: every rendered page of the benchmark corpus.
+GENRE_SEEDS = [(genre, seed) for genre in sorted(DOMAINS) for seed in (1, 2)]
+
+
+class TestTokenizerOracle:
+    """The compiled-pattern scanners against the character-stepping
+    tokenizer kept in ``tests/oracles.py``."""
+
+    @pytest.mark.parametrize("genre,seed", GENRE_SEEDS)
+    def test_tokenizer_oracle_on_rendered_pages(self, genre, seed):
+        sample = api.probe(api.make_site(genre, seed=seed), ThorConfig(seed=seed))
+        assert sample.pages
+        for page in sample.pages:
+            assert toks(page.html) == list(oracles.tokenize_html(page.html))
+
+    @pytest.mark.parametrize(
+        "space", [" ", "\t", "\n", "\r", "\f", "\v", "\x00", "\x1c", "\x85", "\xa0", "\u3000"]
+    )
+    @pytest.mark.parametrize(
+        "template",
+        [
+            "<a{s}b{s}={s}c{s}d>",
+            "<a{s}b={s}'v'{s}/{s}>",
+            "<a{s}/{s}x{s}/>",
+            "<a{s}b=v{s}w>",
+            "<a{s}b=\"q{s}r\"{s}>",
+            "</b{s}>x",
+            "<title{s}>t</title{s}>",
+            "<!DOCTYPE{s}html{s}>",
+        ],
+    )
+    def test_tokenizer_oracle_whitespace_classes(self, template, space):
+        # Only " \t\n\r\f" separate attributes; "\v", NUL and the
+        # Unicode spaces are junk, not whitespace.
+        html = template.format(s=space)
+        assert toks(html) == list(oracles.tokenize_html(html))
+
+    @settings(max_examples=400)
+    @given(st.lists(st.sampled_from(HOSTILE_FRAGMENTS), max_size=40).map("".join))
+    def test_tokenizer_oracle_on_hostile_text(self, html):
+        assert toks(html) == list(oracles.tokenize_html(html))
+
+    @given(st.text(max_size=200))
+    def test_tokenizer_oracle_on_any_text(self, html):
+        assert toks(html) == list(oracles.tokenize_html(html))
 
 
 class TestProperties:

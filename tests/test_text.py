@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import doctest
+import itertools
+import string
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.text import extract_terms, porter_stem, tokenize_words
+from repro.text import extract_terms, porter, porter_stem, tokenize_words
 from repro.text.stopwords import STOPWORDS, is_stopword
 from repro.text.terms import TermExtractor
 
@@ -108,6 +112,47 @@ class TestPorterStemmer:
     @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=3, max_size=20))
     def test_stem_nonempty_for_long_words(self, word):
         assert porter_stem(word)
+
+
+class TestStemMemo:
+    def test_memo_matches_unmemoized_stemmer(self):
+        for word, _ in PORTER_CASES:
+            # The second call is answered from the memo.
+            for _ in range(2):
+                assert porter_stem(word) == porter_stem.__wrapped__(word)
+
+    def test_memo_reports_hits_misses_size_and_cap(self):
+        porter_stem.cache_clear()
+        porter_stem("caresses")
+        porter_stem("caresses")
+        porter_stem("ponies")
+        info = porter_stem.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+        assert info.maxsize == porter.STEM_MEMO_ENTRIES
+
+    def test_memo_size_never_exceeds_cap(self):
+        cap = porter.STEM_MEMO_ENTRIES
+        porter_stem.cache_clear()
+        words = (
+            "".join(letters) + "ing"
+            for letters in itertools.product(string.ascii_lowercase, repeat=4)
+        )
+        largest = 0
+        for word in itertools.islice(words, cap + 500):
+            porter_stem(word)
+            largest = max(largest, porter_stem.cache_info().currsize)
+        assert largest == cap
+        assert porter_stem.cache_info().misses == cap + 500
+        porter_stem.cache_clear()
+
+    def test_doctest_still_collected(self):
+        # tests/test_doctests.py runs doctest.testmod, which finds
+        # examples with DocTestFinder; the memo wrapper must not hide them.
+        from tests.test_doctests import _all_modules
+
+        assert porter.__name__ in _all_modules()
+        found = {t.name: t for t in doctest.DocTestFinder().find(porter)}
+        assert found["repro.text.porter.porter_stem"].examples
 
 
 class TestStopwords:
