@@ -70,20 +70,41 @@ class Clustering:
         return [items[i] for i in self.members(cluster)]
 
 
+#: Similarities (or distances) within this of a row's best value count
+#: as tied. Matmul and scalar cosines of one pair can differ in their
+#: last bits, so an exact argmax could pick a different center than the
+#: scalar loop on a near-tie; the tolerance makes both pick the lowest
+#: tied index.
+NEAR_TIE_EPSILON = 1e-12
+
+
+def near_tie_argmax(values):
+    """Per row of ``values``, the lowest column index whose value lies
+    within :data:`NEAR_TIE_EPSILON` of the row maximum."""
+    best = values.max(axis=1, keepdims=True)
+    return (values >= best - NEAR_TIE_EPSILON).argmax(axis=1)
+
+
+def near_tie_argmin(values):
+    """The lowest index of a 1-D ``values`` within
+    :data:`NEAR_TIE_EPSILON` of its minimum."""
+    return int((values <= values.min() + NEAR_TIE_EPSILON).argmax())
+
+
 def assign_to_centroids(rows, centroids) -> list[int]:
     """Nearest-centroid labels for already-encoded rows (no refit).
 
     The assign-without-refit kernel of incremental re-extraction: one
     cosine matmul of the new pages' tf-idf rows (encoded into the
     *stored* space via :func:`repro.vsm.matrix.encode_tfidf`) against
-    the stored Phase-1 centroids, then an argmax per row. Ties break
-    toward the lower cluster index — the same rule K-Means applies
-    during a full fit, so a page that did not move re-earns its old
-    label.
+    the stored Phase-1 centroids, then :func:`near_tie_argmax` per
+    row. Near-ties break toward the lower cluster index — the same rule
+    K-Means applies during a full fit, so a page that did not move
+    re-earns its old label.
     """
     from repro.vsm.matrix import cosine_matrix
 
     if len(rows) == 0:
         return []
     similarities = cosine_matrix(rows, centroids)
-    return [int(label) for label in similarities.argmax(axis=1)]
+    return [int(label) for label in near_tie_argmax(similarities)]

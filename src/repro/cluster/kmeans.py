@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.cluster.assignments import Clustering
+from repro.cluster.assignments import Clustering, near_tie_argmax
 from repro.config import ExecutionConfig, resolve_n_jobs
 from repro.errors import ClusteringError
 from repro.runtime import restart_seed_streams, run_restarts, select_best
@@ -187,7 +187,7 @@ class KMeans:
         n = space.n
         centers, center_norms = self._seed_rows(space, k, rng)
         sims = cosine_matrix(matrix, centers, norms_a=norms, norms_b=center_norms)
-        labels = np.argmax(sims, axis=1)
+        labels = near_tie_argmax(sims)
         iterations = 1
         while iterations < self.max_iterations:
             new_centers, counts = centroid_matrix(matrix, labels, k)
@@ -198,7 +198,7 @@ class KMeans:
             sims = cosine_matrix(
                 matrix, new_centers, norms_a=norms, norms_b=center_norms
             )
-            new_labels = np.argmax(sims, axis=1)
+            new_labels = near_tie_argmax(sims)
             centers = new_centers
             iterations += 1
             if np.array_equal(new_labels, labels):

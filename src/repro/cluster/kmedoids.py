@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
-from repro.cluster.assignments import Clustering
+from repro.cluster.assignments import Clustering, near_tie_argmin
 from repro.config import ExecutionConfig, resolve_n_jobs
 from repro.errors import ClusteringError
 from repro.runtime import restart_seed_streams, run_restarts, select_best
@@ -126,8 +126,12 @@ class KMedoids:
                 if members.size == 0:
                     new_medoids.append(rng.randrange(n))
                     continue
+                # Assignment compares stored matrix entries, so its ties
+                # are exact and argmin's first-wins rule is safe. These
+                # totals are sums whose order differs from a scalar loop,
+                # so near-equal totals take the near-tie rule.
                 totals = matrix[np.ix_(members, members)].sum(axis=1)
-                new_medoids.append(int(members[np.argmin(totals)]))
+                new_medoids.append(int(members[near_tie_argmin(totals)]))
             new_labels = np.argmin(matrix[:, new_medoids], axis=1)
             iterations += 1
             if np.array_equal(new_labels, labels) and new_medoids == medoids:

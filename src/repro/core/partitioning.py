@@ -31,7 +31,7 @@ from repro.config import SubtreeConfig
 from repro.core.pagelet import PartitionedPagelet, QAObject, QAPagelet
 from repro.core.subtree_sets import make_candidate, shape_distance
 from repro.html.paths import TagCodec, node_path, resolve_path
-from repro.html.tree import TagNode
+from repro.html.tree import TagNode, tree_index
 
 
 class ObjectPartitioner:
@@ -148,10 +148,12 @@ class ObjectPartitioner:
 
     @staticmethod
     def _content_bearing_children(parent: TagNode) -> list[TagNode]:
+        index = tree_index(parent)
+        tags = index.tags
         return [
-            c
-            for c in parent.tag_children()
-            if any(t.text.strip() for t in c.iter_content())
+            child
+            for child in parent.children
+            if tags[child._pos] is not None and index.has_content(child._pos)
         ]
 
     def _similar_children(
@@ -208,35 +210,42 @@ class ObjectPartitioner:
         """
         if not pagelet.contained_static_paths:
             return False
-        static_nodes: set[int] = set()
         page_tree = pagelet.page.tree
+        index = tree_index(page_tree.root)
+        resolved = 0
+        static_spans: list[tuple[int, int]] = []
         for path in pagelet.contained_static_paths:
             try:
                 node = resolve_path(page_tree, path)
             except Exception:
                 continue
-            static_nodes.add(id(node))
+            resolved += 1
             if isinstance(node, TagNode):
-                static_nodes.update(id(n) for n in node.iter_tags())
-        if not static_nodes:
+                static_spans.append((node._pos, index.end[node._pos]))
+        if not resolved:
             return False
+        end = index.end
+
+        def touches_static(node: TagNode) -> bool:
+            # A static tag subtree marks every tag node it holds, so a
+            # node is static-marked when its subtree and a static one
+            # nest, in either direction. A static content leaf marks
+            # no tag node.
+            pos = node._pos
+            return any(
+                start <= pos < stop or pos <= start < end[pos]
+                for start, stop in static_spans
+            )
+
         group_ids = {id(n) for n in group}
-        static_siblings = 0
-        for child in parent.tag_children():
-            if id(child) in group_ids:
-                continue
-            if id(child) in static_nodes or any(
-                id(n) in static_nodes for n in child.iter_tags()
-            ):
-                static_siblings += 1
+        static_siblings = sum(
+            1
+            for child in parent.tag_children()
+            if id(child) not in group_ids and touches_static(child)
+        )
         # Also count static members hiding inside the group itself
         # (label cells grouped with value cells).
-        static_members = sum(
-            1
-            for member in group
-            if id(member) in static_nodes
-            or any(id(n) in static_nodes for n in member.iter_tags())
-        )
+        static_members = sum(1 for member in group if touches_static(member))
         score = (static_siblings + static_members) / max(1, len(group))
         return score >= self.static_fraction_threshold
 

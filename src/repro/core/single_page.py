@@ -35,40 +35,24 @@ from repro.config import ExecutionConfig, resolve_cache_dir, resolve_n_jobs
 from repro.core.page import Page
 from repro.html.metrics import subtree_shape
 from repro.html.paths import node_tag_sequence
-from repro.html.tree import ContentNode, TagNode
+from repro.html.tree import TagNode, TreeIndex, tree_index
 from repro.text.terms import DEFAULT_EXTRACTOR
 
 
-def _content_profile(root: TagNode) -> dict[int, tuple[int, int]]:
-    """For every tag node (by id): (direct content children,
-    content-bearing tag children). Computed in one postorder pass."""
-    profile: dict[int, tuple[int, int]] = {}
-    has_content: dict[int, bool] = {}
-    stack: list[tuple[TagNode, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if not expanded:
-            stack.append((node, True))
-            for child in node.children:
-                if isinstance(child, TagNode):
-                    stack.append((child, False))
-            continue
-        direct = 0
-        bearing = 0
-        for child in node.children:
-            if isinstance(child, ContentNode):
-                if child.text.strip():
-                    direct += 1
-            elif has_content.get(id(child), False):
-                bearing += 1
-        profile[id(node)] = (direct, bearing)
-        has_content[id(node)] = (direct + bearing) > 0
-    return profile
-
-
-def _contains_branching(node: TagNode) -> bool:
-    """True when some tag node in the subtree has fanout > 1."""
-    return any(n.fanout > 1 for n in node.iter_tags())
+def _content_profile(index: TreeIndex) -> tuple[list[int], list[int]]:
+    """Per position: (direct non-blank content children,
+    content-bearing tag children), in one reverse sweep of the index."""
+    parent, tags = index.parent, index.tags
+    end, solid = index.end, index.solid_start
+    direct = [0] * len(parent)
+    bearing = [0] * len(parent)
+    for pos in range(len(parent) - 1, 0, -1):
+        if solid[end[pos]] > solid[pos]:
+            if tags[pos] is None:
+                direct[parent[pos]] += 1
+            else:
+                bearing[parent[pos]] += 1
+    return direct, bearing
 
 
 def candidate_subtrees(
@@ -86,19 +70,21 @@ def candidate_subtrees(
     non-minimal; the second ``div`` is empty.)
     """
     root = page.tree.root
-    profile = _content_profile(root)
+    index = tree_index(root)
+    direct, bearing = _content_profile(index)
+    nodes, tags, end, fanout = index.nodes, index.tags, index.end, index.fanout
     candidates: list[TagNode] = []
-    for node in root.iter_tags():
-        if node is root:
+    for pos in range(root._pos + 1, end[root._pos]):
+        if tags[pos] is None:
             continue
-        direct, bearing = profile[id(node)]
-        if direct + bearing == 0:
+        own, bearers = direct[pos], bearing[pos]
+        if own + bearers == 0:
             continue  # rule 1: no content
-        if direct == 0 and bearing == 1:
+        if own == 0 and bearers == 1:
             continue  # rule 2: equivalent to its single content child
-        if require_branching and not _contains_branching(node):
-            continue  # rule 3 (optional)
-        candidates.append(node)
+        if require_branching and max(fanout[pos : end[pos]]) <= 1:
+            continue  # rule 3 (optional): no node with fanout > 1
+        candidates.append(nodes[pos])
     return candidates
 
 

@@ -9,7 +9,8 @@ from scratch:
 - :mod:`repro.html.tidy` — the subset of HTML Tidy behaviour THOR
   relies on (implicit closes, case folding, junk removal).
 - :mod:`repro.html.tree` — :class:`TagNode` / :class:`ContentNode` /
-  :class:`TagTree`.
+  :class:`TagTree`, and the per-tree preorder index that serves
+  depth, size, text and path queries.
 - :mod:`repro.html.parser` — tokens → tree with HTML recovery rules.
 - :mod:`repro.html.paths` — XPath-style path expressions
   (``html/body/table[3]``) and the q-letter simplified paths used by

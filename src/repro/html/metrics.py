@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from repro.html.paths import node_path
-from repro.html.tree import TagNode, TagTree
+from repro.html.tree import TagNode, TagTree, tree_index
 
 
 def max_fanout(tree: Union[TagTree, TagNode]) -> int:
@@ -21,17 +20,14 @@ def max_fanout(tree: Union[TagTree, TagNode]) -> int:
     "Average Fanout" cluster-ranking criterion.
     """
     root = tree.root if isinstance(tree, TagTree) else tree
-    best = 0
-    for node in root.iter_tags():
-        if node.fanout > best:
-            best = node.fanout
-    return best
+    index = tree_index(root)
+    return max(index.fanout[root._pos : index.end[root._pos]])
 
 
 def distinct_tags(tree: Union[TagTree, TagNode]) -> int:
     """Number of distinct tag names in the tree."""
     root = tree.root if isinstance(tree, TagTree) else tree
-    return len({node.tag for node in root.iter_tags()})
+    return len(tree_index(root).tag_counts(root._pos))
 
 
 @dataclass(frozen=True)
@@ -51,7 +47,8 @@ class SubtreeShape:
 
 
 def subtree_shape(node: TagNode) -> SubtreeShape:
-    """Compute the shape quadruple for the subtree rooted at ``node``.
+    """The shape quadruple for the subtree rooted at ``node``, read
+    from the tree's preorder index.
 
     >>> from repro.html import parse
     >>> tree = parse("<html><body><table><tr><td>x</td></tr></table></body></html>")
@@ -59,9 +56,11 @@ def subtree_shape(node: TagNode) -> SubtreeShape:
     >>> (shape.fanout, shape.depth, shape.nodes)
     (1, 2, 4)
     """
+    index = tree_index(node)
+    pos = node._pos
     return SubtreeShape(
-        path=node_path(node),
-        fanout=node.fanout,
-        depth=node.depth(),
-        nodes=node.size(),
+        path=index.path(pos),
+        fanout=index.fanout[pos],
+        depth=index.depth[pos],
+        nodes=index.end[pos] - pos,
     )

@@ -20,7 +20,7 @@ import re
 from typing import Optional, Union
 
 from repro.errors import PathResolutionError, PathSyntaxError
-from repro.html.tree import ContentNode, Node, TagNode, TagTree
+from repro.html.tree import Node, TagNode, TagTree, tree_index
 
 _STEP_RE = re.compile(r"^([a-zA-Z][a-zA-Z0-9_:.-]*)(?:\[(\d+)\])?$")
 
@@ -49,43 +49,19 @@ _PREFERRED_CODES = {
 }
 
 
-def _sibling_index(node: TagNode) -> tuple[int, int]:
-    """Return (1-based index among same-tag siblings, total same-tag)."""
-    parent = node.parent
-    if parent is None:
-        return 1, 1
-    same = [c for c in parent.children if isinstance(c, TagNode) and c.tag == node.tag]
-    return same.index(node) + 1, len(same)
-
-
 def node_path(node: Node) -> str:
     """Path expression from the tree root to ``node``.
 
     Tag nodes yield steps like ``table[3]``; a content node appends a
-    ``#text[k]`` step. The root itself never carries an index.
+    ``#text[k]`` step. The root itself never carries an index. Steps
+    come from the tree's :class:`~repro.html.tree.TreeIndex`.
 
     >>> from repro.html import parse
     >>> tree = parse("<html><body><table></table><table><tr></tr></table></body></html>")
     >>> node_path(tree.root.find_all("tr")[0])
     'html/body/table[2]/tr'
     """
-    steps: list[str] = []
-    current: Optional[Node] = node
-    if isinstance(current, ContentNode):
-        parent = current.parent
-        if parent is None:
-            return "#text"
-        texts = [c for c in parent.children if isinstance(c, ContentNode)]
-        index = texts.index(current) + 1
-        steps.append(f"#text[{index}]" if len(texts) > 1 else "#text")
-        current = parent
-    while current is not None:
-        assert isinstance(current, TagNode)
-        index, total = _sibling_index(current)
-        steps.append(f"{current.tag}[{index}]" if total > 1 else current.tag)
-        current = current.parent
-    steps.reverse()
-    return "/".join(steps)
+    return tree_index(node).path(node._pos)
 
 
 def parse_path(path: str) -> list[tuple[str, Optional[int]]]:
@@ -117,34 +93,47 @@ def resolve_path(tree: Union[TagTree, TagNode], path: str) -> Node:
     ``index=None`` in a step means "the sole/first same-tag child".
     Raises :class:`PathResolutionError` when no node matches.
 
+    A path as :func:`node_path` writes it resolves by one exact step
+    lookup per level in the tree index; any other spelling of the same
+    node (``p[1]`` for a sole ``p``, ``p`` for the first of several,
+    upper-case tags, outer slashes) is parsed and resolved step by
+    step against the same lookup.
+
     >>> from repro.html import parse
     >>> tree = parse("<html><body><p>x</p></body></html>")
     >>> resolve_path(tree, "html/body/p").text()
     'x'
     """
     root = tree.root if isinstance(tree, TagTree) else tree
-    steps = parse_path(path)
-    first_tag, first_index = steps[0]
+    index = tree_index(root)
+    start = root._pos
+    pos: Optional[int] = start
+    steps = path.split("/")
+    if steps[0] == index.tags[start]:
+        for step in steps[1:]:
+            pos = index.child(pos, step)
+            if pos is None:
+                break
+        else:
+            return index.nodes[pos]
+    parsed = parse_path(path)
+    first_tag, first_index = parsed[0]
     if first_tag != root.tag or (first_index or 1) != 1:
         raise PathResolutionError(f"path {path!r} does not start at <{root.tag}>")
-    node: Node = root
-    for tag, index in steps[1:]:
-        if not isinstance(node, TagNode):
+    pos = start
+    for tag, wanted in parsed[1:]:
+        if index.tags[pos] is None:
             raise PathResolutionError(f"step {tag!r} descends below a leaf in {path!r}")
-        wanted = (index or 1) - 1
-        if tag == "#text":
-            texts = [c for c in node.children if isinstance(c, ContentNode)]
-            if wanted >= len(texts):
-                raise PathResolutionError(f"no {tag}[{wanted + 1}] under {node.tag!r}")
-            node = texts[wanted]
-            continue
-        same = [c for c in node.children if isinstance(c, TagNode) and c.tag == tag]
-        if wanted >= len(same):
+        wanted = wanted or 1
+        hit = index.child(pos, f"{tag}[{wanted}]")
+        if hit is None and wanted == 1:
+            hit = index.child(pos, tag)
+        if hit is None:
             raise PathResolutionError(
-                f"no <{tag}>[{wanted + 1}] under <{node.tag}> in {path!r}"
+                f"no <{tag}>[{wanted}] under <{index.tags[pos]}> in {path!r}"
             )
-        node = same[wanted]
-    return node
+        pos = hit
+    return index.nodes[pos]
 
 
 class TagCodec:
@@ -223,7 +212,4 @@ def simplify_path(path: str, codec: Optional[TagCodec] = None) -> str:
 
 def node_tag_sequence(node: TagNode) -> list[str]:
     """Tag names from the root down to ``node`` (inclusive)."""
-    tags = [ancestor.tag for ancestor in node.ancestors()]
-    tags.reverse()
-    tags.append(node.tag)
-    return tags
+    return tree_index(node).lineage(node._pos)

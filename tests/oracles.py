@@ -11,6 +11,10 @@ against. Production code never imports it.
 
 Where an oracle draws from a seeded RNG it does so call for call like
 the production kernel, so seeded runs compare label for label.
+
+The tag-tree section keeps the per-call walks — sibling scans for
+path expressions, subtree walks for size, text and the content
+profile — that the preorder tree index replaced.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence, Union
 
-from repro.cluster.assignments import Clustering
+from repro.cluster.assignments import NEAR_TIE_EPSILON, Clustering
 from repro.cluster.hierarchical import AgglomerativeResult, AverageLinkClusterer
 from repro.cluster.kmeans import KMeans, KMeansResult
 from repro.cluster.kmedoids import KMedoids, KMedoidsResult
@@ -31,8 +35,10 @@ from repro.core.subtree_sets import (
     SubtreeCandidate,
     shape_distance,
 )
-from repro.errors import ClusteringError
+from repro.errors import ClusteringError, PathResolutionError
 from repro.html.entities import decode_entities
+from repro.html.metrics import SubtreeShape
+from repro.html.paths import parse_path
 from repro.html.tokenizer import (
     RAWTEXT_ELEMENTS,
     Comment,
@@ -42,7 +48,7 @@ from repro.html.tokenizer import (
     Text,
     Token,
 )
-from repro.html.tree import TagNode, TagTree
+from repro.html.tree import ContentNode, Node, TagNode, TagTree
 from repro.runtime import restart_seed_streams, run_restarts, select_best
 from repro.text.terms import DEFAULT_EXTRACTOR, TermExtractor
 from repro.vsm.centroid import centroid, vector_sum
@@ -58,16 +64,15 @@ from repro.vsm.weighting import CorpusWeighter, raw_tf_vector
 def _assign(
     vectors: Sequence[SparseVector], centers: Sequence[SparseVector]
 ) -> list[int]:
+    """Per vector, the lowest center index whose cosine lies within
+    ``NEAR_TIE_EPSILON`` of the best (the kernel's near-tie rule)."""
     labels = []
     for vector in vectors:
-        best_label = 0
-        best_sim = -1.0
-        for index, center in enumerate(centers):
-            sim = cosine_similarity(vector, center)
-            if sim > best_sim:
-                best_sim = sim
-                best_label = index
-        labels.append(best_label)
+        sims = [cosine_similarity(vector, center) for center in centers]
+        best = max(sims)
+        labels.append(
+            next(i for i, sim in enumerate(sims) if sim >= best - NEAR_TIE_EPSILON)
+        )
     return labels
 
 
@@ -208,11 +213,18 @@ def kmedoids_run_once(
             if not members:
                 new_medoids.append(rng.randrange(n))
                 continue
-            best_member = min(
-                members,
-                key=lambda m: sum(matrix[m][other] for other in members),
+            # Member totals sum in a different order than the kernel's,
+            # so the lowest index within NEAR_TIE_EPSILON of the
+            # minimum wins, as in the kernel.
+            totals = [sum(matrix[m][other] for other in members) for m in members]
+            best = min(totals)
+            new_medoids.append(
+                next(
+                    m
+                    for m, total in zip(members, totals)
+                    if total <= best + NEAR_TIE_EPSILON
+                )
             )
-            new_medoids.append(best_member)
         new_labels = _kmedoids_assign(matrix, n, new_medoids)
         iterations += 1
         if new_labels == labels and new_medoids == medoids:
@@ -629,3 +641,146 @@ def tokenize_html(html: str) -> Iterator[Token]:
             # Stray "<": treat as text and keep scanning.
             cur.pos = lt + 1
     yield from flush_text(cur.length)
+
+
+# ---------------------------------------------------------------------------
+# Tag-tree walks (repro.html.tree index, repro.html.paths,
+# repro.html.metrics, repro.core.single_page)
+# ---------------------------------------------------------------------------
+
+
+def walk_iter(node: Node) -> Iterator[Node]:
+    """Pre-order traversal by an explicit stack over ``children``."""
+    stack: list[Node] = [node]
+    while stack:
+        current = stack.pop()
+        yield current
+        if isinstance(current, TagNode):
+            stack.extend(reversed(current.children))
+
+
+def walk_depth(node: Node) -> int:
+    """Distance from the root, counted along ``parent`` links."""
+    count = 0
+    while node.parent is not None:
+        node = node.parent
+        count += 1
+    return count
+
+
+def walk_size(node: Node) -> int:
+    return sum(1 for _ in walk_iter(node))
+
+
+def walk_text(node: Node, separator: str = " ") -> str:
+    parts = [n.text for n in walk_iter(node) if isinstance(n, ContentNode)]
+    return separator.join(part for part in parts if part)
+
+
+def sibling_index(node: TagNode) -> tuple[int, int]:
+    """Return (1-based index among same-tag siblings, total same-tag)."""
+    parent = node.parent
+    if parent is None:
+        return 1, 1
+    same = [c for c in parent.children if isinstance(c, TagNode) and c.tag == node.tag]
+    return same.index(node) + 1, len(same)
+
+
+def walk_node_path(node: Node) -> str:
+    """The path expression, scanning sibling lists up to the root."""
+    steps: list[str] = []
+    current: Optional[Node] = node
+    if isinstance(current, ContentNode):
+        parent = current.parent
+        if parent is None:
+            return "#text"
+        texts = [c for c in parent.children if isinstance(c, ContentNode)]
+        index = texts.index(current) + 1
+        steps.append(f"#text[{index}]" if len(texts) > 1 else "#text")
+        current = parent
+    while current is not None:
+        assert isinstance(current, TagNode)
+        index, total = sibling_index(current)
+        steps.append(f"{current.tag}[{index}]" if total > 1 else current.tag)
+        current = current.parent
+    steps.reverse()
+    return "/".join(steps)
+
+
+def walk_tag_sequence(node: TagNode) -> list[str]:
+    tags = [ancestor.tag for ancestor in node.ancestors()]
+    tags.reverse()
+    tags.append(node.tag)
+    return tags
+
+
+def walk_subtree_shape(node: TagNode) -> SubtreeShape:
+    return SubtreeShape(
+        path=walk_node_path(node),
+        fanout=node.fanout,
+        depth=walk_depth(node),
+        nodes=walk_size(node),
+    )
+
+
+def walk_resolve_path(tree: Union[TagTree, TagNode], path: str) -> Node:
+    """Resolve a path one parsed step at a time over child lists."""
+    root = tree.root if isinstance(tree, TagTree) else tree
+    steps = parse_path(path)
+    first_tag, first_index = steps[0]
+    if first_tag != root.tag or (first_index or 1) != 1:
+        raise PathResolutionError(f"path {path!r} does not start at <{root.tag}>")
+    node: Node = root
+    for tag, index in steps[1:]:
+        if not isinstance(node, TagNode):
+            raise PathResolutionError(f"step {tag!r} descends below a leaf in {path!r}")
+        wanted = (index or 1) - 1
+        if tag == "#text":
+            same = [c for c in node.children if isinstance(c, ContentNode)]
+        else:
+            same = [c for c in node.children if isinstance(c, TagNode) and c.tag == tag]
+        if wanted >= len(same):
+            raise PathResolutionError(f"no <{tag}>[{wanted + 1}] in {path!r}")
+        node = same[wanted]
+    return node
+
+
+def walk_content_profile(root: TagNode) -> dict[int, tuple[int, int]]:
+    """For every tag node (by id): (direct content children,
+    content-bearing tag children). Computed in one postorder pass."""
+    profile: dict[int, tuple[int, int]] = {}
+    has_content: dict[int, bool] = {}
+    stack: list[tuple[TagNode, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if not expanded:
+            stack.append((node, True))
+            for child in node.children:
+                if isinstance(child, TagNode):
+                    stack.append((child, False))
+            continue
+        direct = 0
+        bearing = 0
+        for child in node.children:
+            if isinstance(child, ContentNode):
+                if child.text.strip():
+                    direct += 1
+            elif has_content.get(id(child), False):
+                bearing += 1
+        profile[id(node)] = (direct, bearing)
+        has_content[id(node)] = (direct + bearing) > 0
+    return profile
+
+
+def walk_tag_counts(root: TagNode) -> dict[str, int]:
+    counts: dict[str, int] = {}
+    for node in walk_iter(root):
+        if isinstance(node, TagNode):
+            counts[node.tag] = counts.get(node.tag, 0) + 1
+    return counts
+
+
+def walk_max_fanout(root: TagNode) -> int:
+    return max(
+        (n.fanout for n in walk_iter(root) if isinstance(n, TagNode)), default=0
+    )

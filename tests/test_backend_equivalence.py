@@ -22,7 +22,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cluster.editdist import normalized_levenshtein
 from repro.cluster.hierarchical import AverageLinkClusterer
@@ -218,6 +218,9 @@ class TestKMeansEquivalence:
 
     @settings(deadline=None, max_examples=25)
     @given(seeds, st.integers(4, 16), st.integers(1, 4), st.sampled_from(["random", "kmeans++"]))
+    # Row 9's cosines to two seed centers differ only in their last
+    # bits here; an exact argmax used to split kernel from oracle.
+    @example(seed=150, n=11, k=3, init="random")
     def test_restart_selection_same_partition(self, seed, n, k, init):
         # With restarts, two starts can converge to equal-cohesion
         # optima (equal up to summation order); oracle and kernel may
