@@ -162,116 +162,3 @@ def test_fig05_backend_speedup(corpus, capsys):
     emit(capsys, "fig05_backend_speedup", "\n".join(lines))
 
     assert payload["configs"]["ttag"]["speedup"] >= SPEEDUP_FLOOR
-
-
-#: Restarts for the parallel-fan-out bench: enough serial work that the
-#: one-time process-pool startup (~0.25 s) does not dominate.
-PARALLEL_RESTARTS = int(os.environ.get("REPRO_BENCH_PARALLEL_RESTARTS", "64"))
-
-#: Wall-clock floor asserted for the n_jobs=2 restart fan-out — only
-#: meaningful with at least two cores; single-core machines record the
-#: honest (≈1×) number and assert a sanity floor instead.
-PARALLEL_FLOOR = float(os.environ.get("REPRO_BENCH_PARALLEL_FLOOR", "1.2"))
-
-
-def test_fig05_restart_parallelism(corpus, capsys):
-    """Restart fan-out across worker processes on the Figure-5 workload.
-
-    Clusters one site's 110-page sample with TFIDF-content K-Means
-    (the heaviest per-restart kernel of the figure), serial vs
-    ``n_jobs=2``. The floor is asserted on the scalar oracle's restarts
-    (``tests/oracles.py``, fanned out through the same
-    :func:`repro.runtime.run_restarts`), whose per-restart work is large
-    enough for the fan-out to pay; the production numpy path's ratio is
-    recorded next to it without a floor. Per-restart seed streams make
-    the fan-out bitwise identical to the serial loop, which this
-    asserts for both — the timing entry lands in
-    ``BENCH_clustering.json`` next to the speedups, with ``cpu_count``
-    recorded so single-core machines (where two workers time-slice one
-    core) are not read as regressions.
-    """
-    import time
-
-    from repro.cluster.kmeans import KMeans
-    from repro.signatures.content import content_signature
-    from repro.vsm.weighting import tfidf_vectors
-
-    pages = list(corpus[0].pages)
-    vectors = tfidf_vectors([content_signature(p) for p in pages])
-    try:
-        cpu_count = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-POSIX only
-        cpu_count = os.cpu_count() or 1
-
-    fits = {"oracle": oracles.kmeans_fit, "production": KMeans.fit}
-    timings: dict[str, dict[int, float]] = {}
-    for impl, fit in fits.items():
-        timings[impl] = {}
-        results = {}
-        for n_jobs in (1, 2):
-            model = KMeans(
-                k=4, restarts=PARALLEL_RESTARTS, seed=BENCH_SEED, n_jobs=n_jobs
-            )
-            best = float("inf")
-            for _ in range(2):
-                started = time.perf_counter()
-                results[n_jobs] = fit(model, vectors)
-                best = min(best, time.perf_counter() - started)
-            timings[impl][n_jobs] = best
-        # The execution plan must not change the seeded outcome.
-        assert results[2].clustering.labels == results[1].clustering.labels
-        assert results[2].internal_similarity == results[1].internal_similarity
-
-    speedup = timings["oracle"][1] / timings["oracle"][2]
-    production_speedup = timings["production"][1] / timings["production"][2]
-    merge_json(
-        "BENCH_clustering",
-        {
-            "restart_parallelism": {
-                "configuration": "tcon",
-                "kernel": "oracle",
-                "n_pages": len(pages),
-                "k": 4,
-                "restarts": PARALLEL_RESTARTS,
-                "n_jobs": 2,
-                "cpu_count": cpu_count,
-                "serial_seconds": timings["oracle"][1],
-                "parallel_seconds": timings["oracle"][2],
-                "speedup": speedup,
-                "production": {
-                    "serial_seconds": timings["production"][1],
-                    "parallel_seconds": timings["production"][2],
-                    "speedup": production_speedup,
-                    "floor": None,
-                },
-                "estimator": "min",
-                "labels_identical": True,
-                "note": (
-                    "speedup requires >= 2 available cores; on a "
-                    "single core two workers time-slice and the ratio "
-                    "sits near 1x (pool startup amortized over "
-                    f"{PARALLEL_RESTARTS} restarts). The production "
-                    "numpy restarts are too cheap for process fan-out "
-                    "to pay, so their ratio is recorded without a floor."
-                ),
-            }
-        },
-    )
-    emit(
-        capsys,
-        "fig05_restart_parallelism",
-        f"tcon restarts={PARALLEL_RESTARTS} cpus={cpu_count}\n"
-        f"{'':<12}{'oracle':>10}{'numpy':>10}\n"
-        f"{'serial':<12}{timings['oracle'][1]:>9.3f}s"
-        f"{timings['production'][1]:>9.3f}s\n"
-        f"{'n_jobs=2':<12}{timings['oracle'][2]:>9.3f}s"
-        f"{timings['production'][2]:>9.3f}s\n"
-        f"{'speedup':<12}{speedup:>9.2f}x{production_speedup:>9.2f}x",
-    )
-
-    if cpu_count >= 2:
-        assert speedup >= PARALLEL_FLOOR
-    else:
-        # One core: no parallel speedup is possible — assert the fan-out
-        # at least stays within 2x of serial (overhead sanity bound).
-        assert speedup >= 0.5

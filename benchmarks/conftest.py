@@ -78,9 +78,8 @@ def emit_json(name: str, payload) -> None:
 def merge_json(name: str, fragment: dict) -> None:
     """Merge top-level keys into an archived JSON result.
 
-    Lets several benches contribute sections to one file (e.g. the
-    oracle speedups and the restart-parallelism entry both land in
-    ``BENCH_clustering.json``) without clobbering each other.
+    Lets several benches contribute sections to one file without
+    clobbering each other's keys.
     """
     import json
 

@@ -20,11 +20,9 @@ per iteration. The scalar form — one ``cosine_similarity`` call per
 consumes the restart RNG call for call like :class:`KMeans`, so a
 seeded run yields the same labels under either.
 
-Restarts are embarrassingly parallel: each draws from its own
-namespaced seed stream (:func:`repro.runtime.restart_seed_streams`),
-so no restart's RNG depends on any other's and the ``n_jobs`` process
-fan-out (:func:`repro.runtime.run_restarts`) returns labels bitwise
-identical to the serial loop.
+Each restart draws from its own namespaced seed stream
+(:func:`repro.runtime.restart_seed_streams`), so no restart's RNG
+depends on any other's.
 """
 
 from __future__ import annotations
@@ -36,9 +34,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.cluster.assignments import Clustering, near_tie_argmax
-from repro.config import ExecutionConfig, resolve_n_jobs
 from repro.errors import ClusteringError
-from repro.runtime import restart_seed_streams, run_restarts, select_best
+from repro.runtime import restart_seed_streams, select_best
 from repro.vsm.matrix import VectorSpace, centroid_matrix, cosine_matrix
 from repro.vsm.vector import SparseVector
 
@@ -65,10 +62,6 @@ class KMeans:
     ``max_iterations`` bounds the assign/recenter loop per restart;
     tag-signature clustering converges in a handful of iterations, but
     the bound protects against oscillation on degenerate inputs.
-
-    ``n_jobs`` fans restarts out across worker processes (``None``
-    takes the count from ``execution``, else 1); seeded results are
-    identical at any job count.
     """
 
     def __init__(
@@ -78,8 +71,6 @@ class KMeans:
         max_iterations: int = 100,
         seed: Optional[int] = None,
         init: str = "random",
-        execution: Optional[ExecutionConfig] = None,
-        n_jobs: Optional[int] = None,
     ) -> None:
         if k < 1:
             raise ClusteringError(f"k must be >= 1, got {k}")
@@ -97,8 +88,6 @@ class KMeans:
         #: (distance-weighted seeding under cosine distance) needs
         #: fewer restarts to find small classes.
         self.init = init
-        self.execution = execution
-        self.n_jobs = resolve_n_jobs(execution, n_jobs)
 
     def fit(self, vectors: Sequence[SparseVector]) -> KMeansResult:
         """Cluster ``vectors`` into (at most) ``k`` clusters.
@@ -117,23 +106,15 @@ class KMeans:
         TFIDF weighting of :func:`repro.vsm.matrix.weighted_space`) skip
         the SparseVector round-trip entirely.
 
-        Every restart runs on its own seed stream — inline or fanned
-        out across processes — and the highest-cohesion result is kept
-        (first restart wins ties, like the serial loop always did).
+        Every restart runs on its own seed stream and the
+        highest-cohesion result is kept (first restart wins ties).
         """
         if space.n == 0:
             raise ClusteringError("cannot cluster an empty collection")
+        k = min(self.k, space.n)
         seeds = restart_seed_streams(self.seed, self.restarts, "kmeans")
-        results = run_restarts(
-            _restart_batch,
-            (self, space, min(self.k, space.n)),
-            seeds,
-            self.n_jobs,
-            label="kmeans",
-            execution=self.execution,
-        )
         best = select_best(
-            results,
+            (self._run_once(space, k, random.Random(seed)) for seed in seeds),
             lambda result, incumbent: result.internal_similarity
             > incumbent.internal_similarity,
         )
@@ -223,11 +204,3 @@ class KMeans:
             iterations=iterations,
             restarts_run=1,
         )
-
-
-# -- restart batch worker (module-level so process pools can pickle it) --
-
-
-def _restart_batch(payload, seeds) -> list[KMeansResult]:
-    model, space, k = payload
-    return [model._run_once(space, k, random.Random(seed)) for seed in seeds]

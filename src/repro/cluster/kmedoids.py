@@ -32,9 +32,8 @@ from typing import Callable, Optional, Sequence, TypeVar
 import numpy as np
 
 from repro.cluster.assignments import Clustering, near_tie_argmin
-from repro.config import ExecutionConfig, resolve_n_jobs
 from repro.errors import ClusteringError
-from repro.runtime import restart_seed_streams, run_restarts, select_best
+from repro.runtime import restart_seed_streams, select_best
 
 T = TypeVar("T")
 
@@ -63,8 +62,6 @@ class KMedoids:
         restarts: int = 10,
         max_iterations: int = 100,
         seed: Optional[int] = None,
-        execution: Optional[ExecutionConfig] = None,
-        n_jobs: Optional[int] = None,
     ) -> None:
         if k < 1:
             raise ClusteringError(f"k must be >= 1, got {k}")
@@ -73,8 +70,6 @@ class KMedoids:
         self.restarts = restarts
         self.max_iterations = max_iterations
         self.seed = seed
-        self.execution = execution
-        self.n_jobs = resolve_n_jobs(execution, n_jobs)
 
     def fit(self, items: Sequence[T], precomputed=None) -> KMedoidsResult:
         """Cluster ``items``.
@@ -96,19 +91,13 @@ class KMedoids:
                     d = self.distance(items[i], items[j])
                     matrix[i, j] = d
                     matrix[j, i] = d
-        # One independent seed stream per restart (bitwise identical
-        # serial or fanned out across n_jobs worker processes).
+        # One independent seed stream per restart.
         seeds = restart_seed_streams(self.seed, self.restarts, "kmedoids")
-        results = run_restarts(
-            _restart_batch,
-            (self, matrix, n, effective_k),
-            seeds,
-            self.n_jobs,
-            label="kmedoids",
-            execution=self.execution,
-        )
         best = select_best(
-            results,
+            (
+                self._run_once(matrix, n, effective_k, random.Random(seed))
+                for seed in seeds
+            ),
             lambda result, incumbent: result.total_distance
             < incumbent.total_distance,
         )
@@ -145,16 +134,3 @@ class KMedoids:
             total_distance=total,
             iterations=iterations,
         )
-
-
-# -- restart batch worker (module-level so process pools can pickle it) --
-# Note: with n_jobs > 1 the model (including its ``distance`` callable)
-# must pickle — module-level distance functions do; closures only work
-# in the serial n_jobs=1 path.
-
-
-def _restart_batch(payload, seeds) -> list[KMedoidsResult]:
-    model, matrix, n, k = payload
-    return [
-        model._run_once(matrix, n, k, random.Random(seed)) for seed in seeds
-    ]

@@ -57,22 +57,23 @@ class StageTimeouts:
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """How the pipeline computes: parallelism and caching.
+    """How the pipeline computes: concurrency and caching.
 
     One object answers the *how* questions every stage used to answer
-    separately: how many worker processes fan restarts and per-page
-    Phase-2 analysis out (``n_jobs``), whether interned
-    :class:`~repro.vsm.matrix.VectorSpace` builds are reused across
-    calls over the same collection (``cache``), and whether expensive
-    intermediates persist across *processes* in an on-disk artifact
-    store (``cache_dir`` / ``artifact_cache`` —
+    separately: how many probes are in flight by default (``n_jobs``),
+    whether interned :class:`~repro.vsm.matrix.VectorSpace` builds are
+    reused across calls over the same collection (``cache``), and
+    whether expensive intermediates persist across *processes* in an
+    on-disk artifact store (``cache_dir`` / ``artifact_cache`` —
     :mod:`repro.artifacts`). Every pipeline stage takes one as its
     ``execution`` argument. None of these settings changes a result.
     """
 
-    #: Worker processes for restart fan-out and Phase-2 per-page
-    #: analysis: 1 = serial (default), N > 1 = that many processes,
-    #: 0 = one per available core.
+    #: Default Stage-1 probe concurrency (``ProbeConfig.concurrency``
+    #: overrides it): 1 = serial (default), N > 1 = that many probes in
+    #: flight, 0 = one per available core. Clustering and Phase 2 run
+    #: in-process at any value; sites are the unit of process
+    #: parallelism (``FleetConfig.site_jobs``).
     n_jobs: int = 1
     #: "on" reuses interned vector spaces across calls over the same
     #: collection (keyed by content, so never stale); "off" disables.
@@ -85,7 +86,7 @@ class ExecutionConfig:
     #: take effect; "off" disables the on-disk artifact store entirely
     #: (the CLI ``--no-artifact-cache`` flag).
     artifact_cache: str = "on"
-    #: "on" recovers failed process-fan-out chunks (retries with seeded
+    #: "on" recovers failed fleet fan-out chunks (retries with seeded
     #: backoff, then in-process serial fallback — see
     #: :func:`repro.runtime.run_chunked`); "off" raises a
     #: :class:`~repro.errors.ChunkFailedError` (with the chunk's
@@ -114,12 +115,8 @@ class ExecutionConfig:
     #: 0 disables memoization. Long fleet runs visiting many sites
     #: would grow an unbounded memo without limit.
     distance_memo_entries: int = 256
-    #: Removed: numpy is the only compute path. Setting it raises
-    #: :class:`~repro.errors.ConfigError`.
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
-        _removed_backend_field("ExecutionConfig", self.backend)
         if self.n_jobs < 0:
             raise ValueError(f"n_jobs must be >= 0, got {self.n_jobs}")
         if self.cache not in CACHE_POLICIES:
@@ -347,10 +344,9 @@ class FleetConfig:
     live on the :class:`~repro.fleet.FleetSpec`.
     """
 
-    #: Worker processes across sites: 1 = one site at a time (each site
-    #: may then use ``ExecutionConfig.n_jobs`` internally), N > 1 = that
-    #: many sites in flight (per-site pipelines forced serial — no
-    #: nested pools), 0 = one per available core.
+    #: Worker processes across sites: 1 = one site at a time, N > 1 =
+    #: that many sites in flight, 0 = one per available core. Each site
+    #: runs its own stages in-process inside its worker.
     site_jobs: int = 1
     #: Stop admitting new sites after this many have been attempted in
     #: one ``run_fleet`` invocation (``None`` = no cap). Remaining

@@ -12,12 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.config import (
-    ExecutionConfig,
-    SubtreeConfig,
-    resolve_cache_dir,
-    resolve_n_jobs,
-)
+from repro.config import ExecutionConfig, SubtreeConfig, resolve_cache_dir
 from repro.core.page import Page
 from repro.core.pagelet import QAPagelet
 from repro.core.selection import ScoredSet, score_sets
@@ -82,15 +77,10 @@ class PageletIdentifier:
             raise ExtractionError("cannot identify pagelets in an empty cluster")
         cfg = self.config
         # The record-backed pipeline (node-free candidate snapshots)
-        # is what fans out over processes and round-trips through the
-        # artifact cache; it is bitwise identical to the node-backed
-        # one, but snapshots term counts eagerly — so plain serial
-        # no-cache runs keep the lazy node path.
-        use_records = (
-            resolve_n_jobs(self.execution) > 1
-            or resolve_cache_dir(self.execution) is not None
-        )
-        if use_records:
+        # is what round-trips through the artifact cache; it is bitwise
+        # identical to the node-backed one, but snapshots term counts
+        # eagerly — so runs without a store keep the lazy node path.
+        if resolve_cache_dir(self.execution) is not None:
             candidates = candidate_records_for_cluster(
                 pages,
                 require_branching=cfg.require_branching,

@@ -20,10 +20,10 @@ Two output forms exist. :func:`candidate_subtrees` returns live
 :class:`~repro.html.tree.TagNode` handles into the page tree — the
 historical, serial form. :func:`page_candidate_records` snapshots the
 same candidates into node-free :class:`CandidateRecord` values (paths,
-shape quadruples, subtree term counts, sibling shapes) that pickle
-across process boundaries and serialize into the artifact cache; the
-records carry everything downstream Phase-2 steps read from a node, so
-the record-backed pipeline is bitwise identical to the node-backed one.
+shape quadruples, subtree term counts, sibling shapes) that serialize
+into the artifact cache; the records carry everything downstream
+Phase-2 steps read from a node, so the record-backed pipeline is
+bitwise identical to the node-backed one.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from repro.config import ExecutionConfig, resolve_cache_dir, resolve_n_jobs
+from repro.config import ExecutionConfig
 from repro.core.page import Page
 from repro.html.metrics import subtree_shape
 from repro.html.paths import node_tag_sequence
@@ -96,7 +96,7 @@ def candidate_subtrees_for_cluster(
 
 
 # ---------------------------------------------------------------------------
-# Node-free candidate records (parallel + cacheable form)
+# Node-free candidate records (cacheable form)
 # ---------------------------------------------------------------------------
 
 
@@ -111,8 +111,8 @@ class CandidateRecord:
     counts under the default extractor (dict insertion order is
     load-bearing: it fixes vocabulary column order in the TFIDF
     ranking), and the shapes of the member's DOM siblings (the
-    repeating-unit check in selection). Records pickle across process
-    boundaries and round-trip through JSON losslessly.
+    repeating-unit check in selection). Records round-trip through JSON
+    losslessly.
     """
 
     #: Path expression from the page root (the quadruple's P).
@@ -199,68 +199,31 @@ def _payloads_to_records(payload) -> Optional[list[CandidateRecord]]:
     return records
 
 
-def _records_for_html(
-    store, html: str, require_branching: bool, page: Optional[Page] = None
+def _cached_records(
+    store, page: Page, require_branching: bool
 ) -> list[CandidateRecord]:
     """Candidate records for one page, through the artifact cache.
 
-    On a cache miss the page is parsed once (or an already-parsed
-    ``page`` is reused) and both the records and the parsed tree are
-    persisted — the tree saves the re-parse when a warm run later
-    resolves winner paths back to nodes.
+    On a cache miss the page is parsed once (or its already-parsed tree
+    is reused) and both the records and the parsed tree are persisted —
+    the tree saves the re-parse when a warm run later resolves winner
+    paths back to nodes.
     """
     from repro.artifacts.keys import candidate_records_key
+    from repro.artifacts.pages import put_tree
     from repro.artifacts.store import KIND_RECORDS
 
-    key = None
-    if store is not None:
-        key = candidate_records_key(html, require_branching)
-        cached = _payloads_to_records(store.get_json(KIND_RECORDS, key))
-        if cached is not None:
-            return cached
-    if page is None:
-        page = Page(html)
+    key = candidate_records_key(page.html, require_branching)
+    cached = _payloads_to_records(store.get_json(KIND_RECORDS, key))
+    if cached is not None:
+        return cached
     records = [
         candidate_record(node)
         for node in candidate_subtrees(page, require_branching)
     ]
-    if store is not None:
-        from repro.artifacts.pages import put_tree
-
-        store.put_json(
-            KIND_RECORDS, key, [record_to_payload(r) for r in records]
-        )
-        put_tree(store, html, page.tree)
+    store.put_json(KIND_RECORDS, key, [record_to_payload(r) for r in records])
+    put_tree(store, page.html, page.tree)
     return records
-
-
-def _records_worker(payload, htmls: Sequence[str]) -> list[list[CandidateRecord]]:
-    """Process-pool worker: records for a chunk of page HTML strings."""
-    require_branching, cache_root = payload
-    store = None
-    if cache_root is not None:
-        from repro.runtime import artifact_store_for
-
-        store = artifact_store_for(ExecutionConfig(cache_dir=cache_root))
-    results = [
-        _records_for_html(store, html, require_branching) for html in htmls
-    ]
-    if store is not None:
-        store.flush_stats()
-    return results
-
-
-def _columnar_records_worker(payload, htmls: Sequence[str]) -> bytes:
-    """Process-pool worker returning its chunk as columnar npz bytes.
-
-    Same computation as :func:`_records_worker`, packed into one
-    compressed column bundle (:mod:`repro.core.columnar`): roughly an
-    order of magnitude fewer serialized bytes than pickling the record
-    objects.
-    """
-    from repro.core.columnar import pack_records
-
-    return pack_records(_records_worker(payload, htmls))
 
 
 def candidate_records_for_cluster(
@@ -268,48 +231,27 @@ def candidate_records_for_cluster(
     require_branching: bool = False,
     execution: Optional[ExecutionConfig] = None,
 ) -> list[list[CandidateRecord]]:
-    """Single-page analysis as records, parallel and cache-backed.
+    """Single-page analysis as records, cache-backed.
 
-    With ``execution.n_jobs > 1`` the cluster's pages fan out over a
-    process pool (each worker ships only HTML strings and returns
-    node-free records packed into columnar npz bytes); with a
-    configured cache directory each page's records are served from — or
-    published to — the persistent store. Output order follows
+    With a configured cache directory each page's records are served
+    from — or published to — the persistent store. Output order follows
     ``pages``, and per-page record order is the document order of
     :func:`candidate_subtrees`, so the result is interchangeable with
     the node pipeline's.
     """
-    n_jobs = resolve_n_jobs(execution)
-    cache_root = resolve_cache_dir(execution)
-    if n_jobs > 1 and len(pages) > 1:
-        from repro.core.columnar import unpack_records
-        from repro.runtime import run_chunked
-
-        return run_chunked(
-            _columnar_records_worker,
-            (require_branching, cache_root),
-            [page.html for page in pages],
-            n_jobs,
-            label="phase2-records",
-            execution=execution,
-            unpack=unpack_records,
-        )
     from repro.runtime import artifact_store_for
 
     store = artifact_store_for(execution)
-    results = []
-    for page in pages:
-        if store is None:
-            # No cache: derive from the page's own (possibly already
-            # parsed) tree without hashing anything.
-            results.append(
-                [
-                    candidate_record(node)
-                    for node in candidate_subtrees(page, require_branching)
-                ]
-            )
-        else:
-            results.append(
-                _records_for_html(store, page.html, require_branching, page)
-            )
-    return results
+    if store is not None:
+        return [
+            _cached_records(store, page, require_branching) for page in pages
+        ]
+    # No cache: derive from each page's own (possibly already parsed)
+    # tree without hashing anything.
+    return [
+        [
+            candidate_record(node)
+            for node in candidate_subtrees(page, require_branching)
+        ]
+        for page in pages
+    ]

@@ -129,7 +129,7 @@ class Thor:
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         self.config = config
-        # One execution plan (n_jobs / cache) for every stage.
+        # One execution plan (probe concurrency / cache) for every stage.
         execution = config.execution
         self.execution = execution
         #: Seeded chaos injected into this instance's runs (tests/CI);

@@ -119,7 +119,6 @@ def cluster_synthetic(
     k: int = 4,
     restarts: int = 1,
     seed: Optional[int] = None,
-    execution: Optional[ExecutionConfig] = None,
 ) -> Clustering:
     """Cluster synthetic page signatures under one representation.
 
@@ -141,7 +140,6 @@ def cluster_synthetic(
             distance=normalized_levenshtein,
             restarts=restarts,
             seed=seed,
-            execution=execution,
         )
         return medoids.fit(
             urls, precomputed=pairwise_normalized_levenshtein(urls)
@@ -156,7 +154,7 @@ def cluster_synthetic(
         vectors = weighter.transform_all(documents)
     else:
         vectors = [raw_tf_vector(d) for d in documents]
-    kmeans = KMeans(k, restarts=restarts, seed=seed, execution=execution)
+    kmeans = KMeans(k, restarts=restarts, seed=seed)
     return kmeans.fit(vectors).clustering
 
 
@@ -167,7 +165,6 @@ def synthetic_scale_experiment(
     k: int = 5,
     seed: int = 0,
     entropy_restarts: int = 5,
-    execution: Optional[ExecutionConfig] = None,
 ) -> dict[str, dict[int, EntropyPoint]]:
     """Entropy and per-iteration time as the collection grows.
 
@@ -187,17 +184,12 @@ def synthetic_scale_experiment(
             classes = [p.class_label for p in subset]
             started = time.perf_counter()
             clustering = cluster_synthetic(
-                subset, rep, k=k, restarts=1, seed=seed, execution=execution
+                subset, rep, k=k, restarts=1, seed=seed
             )
             elapsed = time.perf_counter() - started
             if entropy_restarts > 1:
                 clustering = cluster_synthetic(
-                    subset,
-                    rep,
-                    k=k,
-                    restarts=entropy_restarts,
-                    seed=seed,
-                    execution=execution,
+                    subset, rep, k=k, restarts=entropy_restarts, seed=seed
                 )
             results[rep][n] = EntropyPoint(
                 entropy=clustering_entropy(clustering, classes),
@@ -501,7 +493,7 @@ def sensitivity_experiment(
     Every (k, restarts) point re-clusters the *same* collection, so
     the keyed :func:`repro.runtime.cached_weighted_space` cache pays
     the vector-space interning cost once per site instead of once per
-    point; ``execution`` also carries ``n_jobs`` for restart fan-out."""
+    point."""
     config = get_configuration("ttag")
     results: dict[tuple[int, int], float] = {}
     for k in k_values:

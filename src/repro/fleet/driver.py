@@ -2,9 +2,10 @@
 
 :func:`run_fleet` takes one :class:`~repro.fleet.spec.FleetSpec` and
 drives every site through the full pipeline, sharding sites over the
-same :func:`repro.runtime.run_chunked` process machinery the per-site
-stages use — so fleet fan-out inherits worker-crash recovery, seeded
-chaos injection, and transport accounting for free. Per-site progress
+:func:`repro.runtime.run_chunked` process pool — so fleet fan-out gets
+worker-crash recovery, seeded chaos injection, and transport
+accounting. Sites are the one unit of process parallelism: each site
+runs its own stages in-process inside its worker. Per-site progress
 lands in the persistent :class:`~repro.fleet.ledger.FleetLedger`; a
 crashed or drained invocation is finished by resubmitting with
 ``resume=True``, which skips ``done`` sites wholesale and resumes the
@@ -272,11 +273,6 @@ def run_fleet(
             ledger.reset_site(site.site_id)
 
     site_jobs = resolve_n_jobs(None, config.fleet.site_jobs)
-    if site_jobs > 1 and execution.n_jobs != 1:
-        # No nested process pools: with sites fanned out across
-        # workers, each site's own stages run serially in its worker.
-        config = replace(config, execution=replace(execution, n_jobs=1))
-
     waves = spec.waves()
     payload = (config, fleet_id, options.fault_plan)
     budget = config.fleet.max_sites_per_run

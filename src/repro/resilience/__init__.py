@@ -7,10 +7,11 @@ Four pillars (DESIGN.md §11), one package:
   :class:`~repro.errors.ThorError` is set aside with a structured
   :class:`QuarantineRecord` instead of aborting the run, as long as a
   configurable minimum of the sample survives;
-- **worker-crash recovery** (:func:`repro.runtime.run_chunked`) —
-  ``BrokenProcessPool`` and per-chunk exceptions are retried with
-  seeded backoff, then degraded to in-process serial execution,
-  preserving the bitwise parallel == serial invariant;
+- **worker-crash recovery** (:func:`repro.runtime.run_chunked`, the
+  fleet's site fan-out) — ``BrokenProcessPool`` and per-chunk
+  exceptions are retried with seeded backoff, then degraded to
+  in-process serial execution, preserving the bitwise parallel ==
+  serial invariant;
 - **stage watchdogs** (:mod:`repro.resilience.watchdog`) — wall-clock
   deadlines per stage (``ExecutionConfig.stage_timeout_s``) raising a
   typed :class:`~repro.errors.StageTimeoutError`;

@@ -1,26 +1,22 @@
 """The execution layer: *how* the pipeline computes.
 
-Every stage used to answer two questions on its own — whether to
-parallelize and what to reuse between calls. This module centralizes
-them behind one :class:`ExecutionConfig` (worker processes + cache
-policy) and provides the shared machinery:
+This module centralizes the execution questions behind one
+:class:`ExecutionConfig` (probe concurrency, cache policy, recovery)
+and provides the shared machinery:
 
-- **Per-restart seed streams** (:func:`restart_seed_streams`): the
-  clustering drivers used to thread a single ``random.Random`` through
-  all restarts, which serializes them by construction. Deriving one
-  independent, namespaced stream per restart makes each restart a pure
-  function of ``(data, restart_seed)``, so a fan-out across processes
-  is *bitwise identical* to the serial loop.
-- **Chunked process fan-out** (:func:`run_restarts`): restarts are
-  split into ``n_jobs`` contiguous chunks, each chunk runs in one
-  worker of a :class:`~concurrent.futures.ProcessPoolExecutor` (the
-  collection is pickled once per worker, not once per restart), and
-  results come back in restart order so best-of selection reduces
-  exactly like the serial loop. Environments where process pools are
-  unavailable fall back to inline execution, and failed chunks
-  (crashed workers, chunk exceptions) are retried and then degraded to
-  in-process serial execution — see the worker-crash-recovery notes on
-  :func:`run_chunked` and DESIGN.md §11.
+- **Per-restart seed streams** (:func:`restart_seed_streams`): each
+  restart of a clustering driver draws from its own namespaced RNG
+  stream, so a restart is a pure function of ``(data, restart_seed)``
+  and its result never depends on how many draws the previous restart
+  consumed. The streams fix every seeded digest.
+- **Chunked process fan-out** (:func:`run_chunked`): the fleet driver
+  spreads *sites* over a :class:`~concurrent.futures.ProcessPoolExecutor`
+  in contiguous chunks and gets results back in item order. Failed
+  chunks (crashed workers, chunk exceptions) are retried and then
+  degraded to in-process serial execution — see the worker-crash
+  recovery notes on :func:`run_chunked` and DESIGN.md §11. Work inside
+  one site runs in-process: at genre sizes a process pool never beat
+  the serial loop.
 - **Keyed vector-space cache** (:func:`cached_weighted_space`): the
   k-sensitivity sweeps re-cluster the *same* collection dozens of
   times with different k/restart settings; interning the collection
@@ -37,7 +33,9 @@ from __future__ import annotations
 
 import random
 from collections import OrderedDict
-from typing import Any, Callable, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Iterable, Mapping, Optional, Sequence, Tuple, Union
+)
 
 from repro.config import ExecutionConfig, resolve_cache_dir, resolve_n_jobs
 from repro.errors import ChunkFailedError
@@ -57,8 +55,7 @@ def restart_seed_streams(
     seeding is deterministic across processes, unlike salted tuple
     hashes — see :mod:`repro.seeding`); unseeded runs draw fresh
     entropy per restart. Either way restart ``r``'s stream never
-    depends on how many draws restart ``r-1`` consumed, which is what
-    makes process fan-out bitwise identical to the serial loop.
+    depends on how many draws restart ``r-1`` consumed.
 
     >>> restart_seed_streams(7, 2, "kmeans")
     ['kmeans:7:0', 'kmeans:7:1']
@@ -69,15 +66,15 @@ def restart_seed_streams(
     return [f"{namespace}:{seed}:{index}" for index in range(restarts)]
 
 
-def _chunks(seeds: Sequence[SeedMaterial], n_jobs: int) -> list[list[SeedMaterial]]:
-    """Split ``seeds`` into at most ``n_jobs`` contiguous chunks."""
-    n_jobs = min(n_jobs, len(seeds))
-    size, extra = divmod(len(seeds), n_jobs)
+def _chunks(items: Sequence[Any], n_jobs: int) -> list[list[Any]]:
+    """Split ``items`` into at most ``n_jobs`` contiguous chunks."""
+    n_jobs = min(n_jobs, len(items))
+    size, extra = divmod(len(items), n_jobs)
     chunks = []
     start = 0
     for index in range(n_jobs):
         stop = start + size + (1 if index < extra else 0)
-        chunks.append(list(seeds[start:stop]))
+        chunks.append(list(items[start:stop]))
         start = stop
     return chunks
 
@@ -100,14 +97,8 @@ def _chunk_offsets(chunks: Sequence[Sequence[Any]]) -> list[int]:
 
 
 def _transport_bytes(value: Any) -> int:
-    """Serialized size of one cross-process value, in bytes.
-
-    ``bytes`` payloads (columnar record bundles) are already on the
-    wire format; anything else is measured as its pickle — exactly
-    what the process pool ships.
-    """
-    if isinstance(value, (bytes, bytearray)):
-        return len(value)
+    """Serialized size of one cross-process value: its pickle, exactly
+    what the process pool ships."""
     import pickle
 
     try:
@@ -124,14 +115,13 @@ def run_chunked(
     *,
     label: str = "chunked",
     execution: Optional[ExecutionConfig] = None,
-    unpack: Optional[Callable[[Any], list]] = None,
 ) -> list:
     """Run ``worker(payload, chunk)`` over all items, possibly across
     processes, returning per-item results in item order.
 
     ``worker`` must be a module-level (picklable) function that maps a
     chunk of items to one result per item, in order; items must pickle
-    (restart seed materials, page HTML strings). With ``n_jobs <= 1``
+    (the fleet driver's site specs). With ``n_jobs <= 1``
     (or a single item) everything runs inline; a pool that cannot
     start (sandboxes without process support) also degrades to inline
     execution rather than failing the computation. Chunking is
@@ -153,27 +143,17 @@ def run_chunked(
     :class:`~repro.resilience.faults.FaultPlan` may inject
     deterministic chunk faults here (chaos tests).
 
-    **Packed transport.** With ``unpack`` given, the worker may return
-    its chunk's results in a packed wire form (e.g. columnar npz
-    bytes — :mod:`repro.core.columnar`) instead of a plain list;
-    ``unpack`` converts one chunk value back to the per-item result
-    list on this side of the process boundary. It is applied on every
-    path — pool, inline degrade, and serial fallback — so a worker
-    never needs to know where it ran.
-
     **Transport accounting.** When a run report is active, every
     successful pool chunk records its serialized payload size (what
-    was pickled *to* the worker) and result size (bytes for packed
-    transports, pickle size otherwise) under ``label`` — the
-    ``--report`` CLI output and :mod:`benchmarks.bench_extraction`
-    read these to keep transport-cost regressions visible. Inline and
+    was pickled *to* the worker) and result size (its pickle) under
+    ``label`` — the ``--report`` CLI output reads these to keep
+    transport-cost regressions visible. Inline and
     serial-fallback execution cross no process boundary and count
     nothing.
     """
     items = list(items)
     if n_jobs <= 1 or len(items) <= 1:
-        result = worker(payload, items)
-        return list(unpack(result)) if unpack is not None else result
+        return worker(payload, items)
     if execution is None:
         execution = ExecutionConfig()
     recovery = execution.recovery == "on"
@@ -182,8 +162,7 @@ def run_chunked(
     try:
         import concurrent.futures
     except ImportError:  # pragma: no cover - stdlib always present
-        result = worker(payload, items)
-        return list(unpack(result)) if unpack is not None else result
+        return worker(payload, items)
     from repro.resilience.faults import active_fault_plan
     from repro.resilience.report import current_report
 
@@ -281,35 +260,14 @@ def run_chunked(
                 ) from exc
             if report is not None:
                 report.count_serial_fallback()
-    flattened: list = []
-    for batch in results:
-        if unpack is not None:
-            batch = unpack(batch)
-        flattened.extend(batch)
-    return flattened
+    return [result for batch in results for result in batch]
 
 
-def run_restarts(
-    worker: Callable[[Any, Sequence[SeedMaterial]], list],
-    payload: Any,
-    seeds: Sequence[SeedMaterial],
-    n_jobs: int = 1,
-    *,
-    label: str = "restarts",
-    execution: Optional[ExecutionConfig] = None,
-) -> list:
-    """Restart fan-out: :func:`run_chunked` over per-restart seeds."""
-    return run_chunked(
-        worker, payload, seeds, n_jobs, label=label, execution=execution
-    )
-
-
-def select_best(results: Sequence, better: Callable[[Any, Any], bool]):
+def select_best(results: Iterable, better: Callable[[Any, Any], bool]):
     """First-wins best-of reduction in restart order.
 
     ``better(candidate, incumbent)`` must implement a *strict* "is
-    better than" — exactly the comparison the serial loops used — so
-    ties keep the earliest restart under any execution plan.
+    better than", so ties keep the earliest restart.
     """
     best = None
     for result in results:
@@ -498,7 +456,6 @@ __all__ = [
     "resolve_n_jobs",
     "restart_seed_streams",
     "run_chunked",
-    "run_restarts",
     "select_best",
     "space_cache_stats",
 ]

@@ -75,7 +75,7 @@ def _vector_kmeans(signature: Callable[[Page], dict], weighting: str):
         execution: Optional[ExecutionConfig],
     ) -> Clustering:
         signatures = [signature(p) for p in pages]
-        kmeans = KMeans(k, restarts=restarts, seed=seed, execution=execution)
+        kmeans = KMeans(k, restarts=restarts, seed=seed)
         # Weight straight into the dense space — no per-page
         # SparseVector is ever materialized — and reuse it across calls
         # over the same collection (k sweeps).
@@ -108,7 +108,6 @@ def _url_kmedoids(
         distance=url_distance,
         restarts=restarts,
         seed=seed,
-        execution=execution,
     )
     # One call to the vectorized, memoized Levenshtein kernel replaces
     # the n²/2 scalar url_distance invocations.

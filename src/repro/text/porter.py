@@ -232,8 +232,14 @@ def porter_stem(word: str) -> str:
     'relat'
     >>> porter_stem("generalization")
     'gener'
+
+    Porter's rules are defined over English letters only, so a word
+    containing any non-ASCII character is returned unchanged:
+
+    >>> porter_stem("résumés")
+    'résumés'
     """
-    if len(word) <= 2:
+    if len(word) <= 2 or not word.isascii():
         return word
     word = _step1a(word)
     word = _step1b(word)

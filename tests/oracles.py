@@ -49,7 +49,7 @@ from repro.html.tokenizer import (
     Token,
 )
 from repro.html.tree import ContentNode, Node, TagNode, TagTree
-from repro.runtime import restart_seed_streams, run_restarts, select_best
+from repro.runtime import restart_seed_streams, select_best
 from repro.text.terms import DEFAULT_EXTRACTOR, TermExtractor
 from repro.vsm.centroid import centroid, vector_sum
 from repro.vsm.similarity import cosine_similarity
@@ -153,27 +153,17 @@ def kmeans_run_once(
     )
 
 
-def _kmeans_restart_batch(payload, seeds) -> list[KMeansResult]:
-    model, vectors, k = payload
-    return [kmeans_run_once(model, vectors, k, random.Random(seed)) for seed in seeds]
-
-
 def kmeans_fit(model: KMeans, vectors: Sequence[SparseVector]) -> KMeansResult:
     """:meth:`KMeans.fit` with the scalar kernel: the same per-restart
-    seed streams, the same restart fan-out (``model.n_jobs``), the same
-    first-wins best-cohesion selection."""
+    seed streams, the same serial restart loop, the same first-wins
+    best-cohesion selection."""
     if not vectors:
         raise ClusteringError("cannot cluster an empty collection")
-    results = run_restarts(
-        _kmeans_restart_batch,
-        (model, list(vectors), min(model.k, len(vectors))),
-        restart_seed_streams(model.seed, model.restarts, "kmeans"),
-        model.n_jobs,
-        label="kmeans",
-        execution=model.execution,
-    )
+    vectors = list(vectors)
+    k = min(model.k, len(vectors))
+    seeds = restart_seed_streams(model.seed, model.restarts, "kmeans")
     best = select_best(
-        results,
+        (kmeans_run_once(model, vectors, k, random.Random(seed)) for seed in seeds),
         lambda result, incumbent: result.internal_similarity
         > incumbent.internal_similarity,
     )
@@ -239,13 +229,6 @@ def kmedoids_run_once(
     )
 
 
-def _kmedoids_restart_batch(payload, seeds) -> list[KMedoidsResult]:
-    model, matrix, n, k = payload
-    return [
-        kmedoids_run_once(model, matrix, n, k, random.Random(seed)) for seed in seeds
-    ]
-
-
 def kmedoids_fit(model: KMedoids, items: Sequence) -> KMedoidsResult:
     """:meth:`KMedoids.fit` over nested lists, one scalar
     ``model.distance`` call per pair."""
@@ -258,16 +241,10 @@ def kmedoids_fit(model: KMedoids, items: Sequence) -> KMedoidsResult:
             d = model.distance(items[i], items[j])
             matrix[i][j] = d
             matrix[j][i] = d
-    results = run_restarts(
-        _kmedoids_restart_batch,
-        (model, matrix, n, min(model.k, n)),
-        restart_seed_streams(model.seed, model.restarts, "kmedoids"),
-        model.n_jobs,
-        label="kmedoids",
-        execution=model.execution,
-    )
+    k = min(model.k, n)
+    seeds = restart_seed_streams(model.seed, model.restarts, "kmedoids")
     return select_best(
-        results,
+        (kmedoids_run_once(model, matrix, n, k, random.Random(seed)) for seed in seeds),
         lambda result, incumbent: result.total_distance < incumbent.total_distance,
     )
 

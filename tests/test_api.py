@@ -134,8 +134,7 @@ class TestFacadeVerbs:
         assert "corpus-digest:" in api.format_crawl_report(report)
 
     def test_run_with_jobs(self, site):
-        # n_jobs > 1 must not change seeded results (restart fan-out is
-        # bitwise identical to the serial loop).
+        # n_jobs > 1 (probe concurrency) must not change seeded results.
         serial = api.run(site, api.ThorConfig(seed=7))
         parallel = api.run(
             site, api.ThorConfig(seed=7, execution=api.ExecutionConfig(n_jobs=2))

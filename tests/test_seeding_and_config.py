@@ -99,7 +99,7 @@ class TestConfigDataclasses:
 class TestExecutionConfig:
     def test_defaults_are_serial_cached(self):
         execution = ExecutionConfig()
-        assert execution.backend is None
+        assert not hasattr(execution, "backend")
         assert execution.n_jobs == 1
         assert execution.cache == "on"
 
@@ -139,8 +139,10 @@ class TestResolveNJobs:
 
 
 class TestRemovedBackendField:
-    """The ``backend`` fields are gone — numpy is the only compute path:
-    setting one is a typed :class:`ConfigError` saying what to do."""
+    """The ``backend`` fields are gone — numpy is the only compute path.
+    The clustering and subtree configs keep a tombstone (their fields
+    feed the config fingerprint) whose typed :class:`ConfigError` says
+    what to do; the execution config has no such field at all."""
 
     def test_clustering_backend_raises(self):
         with pytest.raises(ConfigError, match="ClusteringConfig.backend"):
@@ -151,7 +153,7 @@ class TestRemovedBackendField:
             SubtreeConfig(backend="python")
 
     def test_execution_backend_raises(self):
-        with pytest.raises(ConfigError, match="ExecutionConfig.backend"):
+        with pytest.raises(TypeError, match="backend"):
             ExecutionConfig(backend="numpy")
 
     def test_error_names_the_replacement(self):
@@ -161,7 +163,6 @@ class TestRemovedBackendField:
     def test_unset_field_stays_silent(self, recwarn):
         assert ClusteringConfig().backend is None
         assert SubtreeConfig().backend is None
-        assert ExecutionConfig().backend is None
         assert not recwarn.list
 
     def test_config_error_is_thor_error(self):

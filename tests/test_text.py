@@ -43,6 +43,19 @@ class TestTokenizeWords:
         assert tokenize_words("") == []
         assert tokenize_words("   ,;!  ") == []
 
+    def test_non_ascii_words_stay_whole(self):
+        assert tokenize_words("naïve café 東京 résumés") == [
+            "naïve", "café", "東京", "résumés",
+        ]
+
+    def test_cyrillic_phrase_stays_whole(self):
+        assert tokenize_words("Быстрая бурая лиса, дом-музей!") == [
+            "быстрая", "бурая", "лиса", "дом-музей",
+        ]
+
+    def test_underscore_still_separates(self):
+        assert tokenize_words("snake_case") == ["snake", "case"]
+
     @given(st.text(max_size=200))
     def test_never_raises_and_tokens_nonempty(self, text):
         for token in tokenize_words(text):
@@ -97,6 +110,15 @@ class TestPorterStemmer:
         assert porter_stem("as") == "as"
         assert porter_stem("a") == "a"
         assert porter_stem("") == ""
+
+    def test_non_ascii_words_untouched(self):
+        for word in ("naïve", "café", "résumés", "東京", "лиса", "городами"):
+            assert porter_stem(word) == word
+
+    def test_unicode_text_survives_term_extraction(self):
+        assert extract_terms("naïve café 東京 résumés") == [
+            "naïve", "café", "東京", "résumés",
+        ]
 
     def test_same_stem_for_inflections(self):
         stems = {porter_stem(w) for w in ("connect", "connected", "connecting",
