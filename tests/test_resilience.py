@@ -12,7 +12,10 @@ from __future__ import annotations
 import json
 import time
 
+import pickle
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.artifacts import ArtifactStore
 from repro.config import ExecutionConfig, ThorConfig
@@ -58,7 +61,7 @@ from repro.resilience.quarantine import (
     STAGE_LOAD,
     STAGE_TIMEOUT,
 )
-from repro.runtime import run_chunked
+from repro.runtime import _chunks, run_chunked, select_best
 
 
 def _double_worker(payload, items):
@@ -159,6 +162,62 @@ class TestChunkRecovery:
                 label="t", execution=ExecutionConfig(n_jobs=3),
             )
         assert parallel == serial
+
+
+class TestChunking:
+    """The fleet's chunked fan-out: contiguous chunks, results back in
+    item order, and pool transport counted under the run's label."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(), min_size=1, max_size=40), st.integers(1, 8))
+    def test_chunks_are_contiguous_and_balanced(self, items, n_jobs):
+        chunks = _chunks(items, n_jobs)
+        assert len(chunks) == min(n_jobs, len(items))
+        assert [item for chunk in chunks for item in chunk] == items
+        sizes = [len(chunk) for chunk in chunks]
+        assert min(sizes) >= 1
+        assert max(sizes) - min(sizes) <= 1
+
+    def test_run_chunked_orders_results(self):
+        # Uneven chunks (7 items over 2 and 3 workers) flatten back
+        # into item order, as the inline path returns them.
+        items = list(range(7))
+        assert run_chunked(_double_worker, 1, items, n_jobs=1) == items
+        assert run_chunked(_double_worker, 1, items, n_jobs=2) == items
+        assert run_chunked(_double_worker, 1, items, n_jobs=3) == items
+
+    def test_pool_chunks_count_transport(self):
+        report = RunReportBuilder()
+        with activate_report(report):
+            result = run_chunked(
+                _double_worker, 5, list(range(6)), n_jobs=2, label="sites"
+            )
+        assert result == [0, 5, 10, 15, 20, 25]
+        entry = report.build().transport["sites"]
+        assert entry["chunks"] == 2
+        sent = sum(
+            len(pickle.dumps((5, chunk), pickle.HIGHEST_PROTOCOL))
+            for chunk in ([0, 1, 2], [3, 4, 5])
+        )
+        received = sum(
+            len(pickle.dumps(chunk, pickle.HIGHEST_PROTOCOL))
+            for chunk in ([0, 5, 10], [15, 20, 25])
+        )
+        assert entry["bytes_sent"] == sent
+        assert entry["bytes_received"] == received
+
+    def test_inline_run_counts_no_transport(self):
+        report = RunReportBuilder()
+        with activate_report(report):
+            run_chunked(_double_worker, 5, list(range(6)), n_jobs=1, label="sites")
+            run_chunked(_double_worker, 5, [1], n_jobs=4, label="sites")
+        assert report.build().transport == {}
+
+    def test_select_best_keeps_the_first_of_tied_restarts(self):
+        results = [(0, 1.0), (1, 3.0), (2, 3.0), (3, 2.0)]
+        best = select_best(results, lambda a, b: a[1] > b[1])
+        assert best == (1, 3.0)
+        assert select_best([], lambda a, b: True) is None
 
 
 class TestWatchdog:
