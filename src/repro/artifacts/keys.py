@@ -35,7 +35,8 @@ SIGNATURE_VERSION = 1
 SPACE_VERSION = 1
 
 #: Bump when the term-extraction pipeline (tokenize → stem) changes.
-EXTRACTOR_VERSION = 1
+#: v2: words keep their non-ASCII letters (``café``, not ``caf``).
+EXTRACTOR_VERSION = 2
 
 #: Bump when the fitted-model bundle layout changes
 #: (:mod:`repro.incremental.model`).
@@ -81,12 +82,14 @@ def model_key(site: str, config_fingerprint: str) -> str:
     per (site, config fingerprint), last-writer-wins. The config
     fingerprint keeps a model fitted under one pipeline configuration
     from ever serving a run under another; ``MODEL_VERSION`` retires
-    every stored model at once when the bundle layout changes.
+    every stored model at once when the bundle layout changes, and the
+    signature, parser and extractor versions retire it when the page
+    signatures it was fitted on would come out differently.
     """
     return _tagged(
         sha256_hex(f"model:{site}:{config_fingerprint}"),
         f"model:v{MODEL_VERSION}:signature{SIGNATURE_VERSION}"
-        f":parser{PARSER_VERSION}",
+        f":parser{PARSER_VERSION}:extractor{EXTRACTOR_VERSION}",
     )
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.artifacts import (
     format_artifact_report,
     load_persistent_stats,
     merge_persistent_stats,
+    model_key,
     page_signature_key,
     page_tree_key,
     payload_to_tree,
@@ -58,6 +60,25 @@ class TestKeys:
         assert candidate_records_key(HTML, True) != candidate_records_key(
             HTML, False
         )
+
+    def test_extractor_version_retires_every_term_derived_kind(
+        self, monkeypatch
+    ):
+        from repro.artifacts import keys
+
+        def derived():
+            return (
+                page_signature_key(HTML),
+                candidate_records_key(HTML, False),
+                model_key("site", "fingerprint"),
+            )
+
+        tree = page_tree_key(HTML)
+        current = derived()
+        monkeypatch.setattr(keys, "EXTRACTOR_VERSION", keys.EXTRACTOR_VERSION - 1)
+        older = derived()
+        assert all(new != old for new, old in zip(current, older))
+        assert page_tree_key(HTML) == tree  # a parse is term-free
 
     def test_space_key_is_iteration_order_sensitive(self):
         # Column order of the vocabulary is load-bearing for the
@@ -389,3 +410,82 @@ class TestPersistentSpaceCache:
         clear_space_cache()
         rebuilt = cached_weighted_space(maps, "tfidf", execution)
         assert np.array_equal(rebuilt.matrix, built.matrix)
+
+
+class TestStoreFilledBeforeUnicodeWords:
+    """A store filled while the tokenizer still split words at non-ASCII
+    letters (``café`` → ``caf``) must not serve those term counts."""
+
+    #: The word pattern of extractor version 1.
+    ASCII_WORDS = re.compile(r"[A-Za-z0-9]+(?:['\-][A-Za-z0-9]+)*")
+
+    @pytest.fixture(autouse=True)
+    def fresh_caches(self):
+        from repro.core.subtree_sets import clear_quad_matrix_memo
+        from repro.runtime import (
+            clear_artifact_store_registry,
+            clear_space_cache,
+        )
+
+        def reset():
+            clear_space_cache()
+            clear_artifact_store_registry()
+            clear_quad_matrix_memo()
+
+        reset()
+        yield reset
+        reset()
+
+    @staticmethod
+    def accented_pages():
+        """One genre site whose content text is full of ``é``."""
+        from repro.core.page import Page
+        from repro.deepweb import generate_corpus
+
+        sample = generate_corpus(n_sites=1, seed=2, domains=["music"])[0]
+
+        def accent(html):
+            return re.sub(
+                r">([^<]+)<",
+                lambda m: ">" + m.group(1).replace("e", "é") + "<",
+                html,
+            )
+
+        return [
+            Page(accent(p.html), url=p.url, query=p.query)
+            for p in sample.pages
+        ]
+
+    def test_warm_run_equals_cold_run(self, tmp_path, monkeypatch, fresh_caches):
+        from repro.artifacts import keys
+        from repro.config import ThorConfig
+        from repro.core.single_page import candidate_records_for_cluster
+        from repro.core.thor import Thor
+        from repro.io.export import result_digest
+        from repro.text import tokenize
+
+        def extract(execution):
+            fresh_caches()
+            config = ThorConfig(seed=1, execution=execution)
+            return result_digest(Thor(config).extract(self.accented_pages()))
+
+        execution = ExecutionConfig(cache_dir=str(tmp_path))
+        cold = extract(ExecutionConfig())
+        cold_records = candidate_records_for_cluster(self.accented_pages())
+
+        # Fill the store the way the version-1 extractor did.
+        with monkeypatch.context() as old:
+            old.setattr(tokenize, "_WORD_RE", self.ASCII_WORDS)
+            old.setattr(keys, "EXTRACTOR_VERSION", 1)
+            stale = extract(execution)
+            candidate_records_for_cluster(
+                self.accented_pages(), execution=execution
+            )
+        assert stale != cold  # the stale entries would change the result
+
+        assert extract(execution) == cold
+        fresh_caches()
+        warm_records = candidate_records_for_cluster(
+            self.accented_pages(), execution=execution
+        )
+        assert warm_records == cold_records
