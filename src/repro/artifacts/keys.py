@@ -3,14 +3,13 @@
 Every artifact is keyed by the SHA-256 of the *content it was derived
 from* plus the version tags of the code that derived it. A key can
 therefore never serve a stale artifact: changing the page HTML changes
-the hash, and changing the derivation (parser semantics, record
+the hash, and changing the derivation (parser semantics, signature
 layout, extractor pipeline) must be accompanied by a version bump
 below, which changes every key of that kind at once — the old entries
 simply stop being referenced and age out via GC.
 
 Key layout: ``sha256(content) + ':' + sha256(parameter-tag)`` where the
-parameter tag folds in the version constants and any derivation
-parameters (e.g. ``require_branching`` for candidate records).
+parameter tag folds in the version constants of the derivation.
 """
 
 from __future__ import annotations
@@ -21,10 +20,6 @@ from typing import Mapping, Sequence
 
 #: Bump when :mod:`repro.html.parser` output changes for the same HTML.
 PARSER_VERSION = 1
-
-#: Bump when the candidate-record layout or derivation changes
-#: (:func:`repro.core.single_page.page_candidate_records`).
-RECORD_VERSION = 1
 
 #: Bump when the page-signature layout changes (tag counts, term
 #: counts, max fanout — :func:`repro.artifacts.store.page_signature`).
@@ -52,26 +47,12 @@ def _tagged(content_hash: str, tag: str) -> str:
     return f"{content_hash}-{sha256_hex(tag)[:16]}"
 
 
-def page_tree_key(html: str) -> str:
-    """Key of the parsed tag tree of one page."""
-    return _tagged(sha256_hex(html), f"tree:v{PARSER_VERSION}")
-
-
 def page_signature_key(html: str) -> str:
     """Key of a page's clustering signatures (tag/term counts)."""
     return _tagged(
         sha256_hex(html),
         f"signature:v{SIGNATURE_VERSION}:parser{PARSER_VERSION}"
         f":extractor{EXTRACTOR_VERSION}",
-    )
-
-
-def candidate_records_key(html: str, require_branching: bool) -> str:
-    """Key of a page's Phase-2 candidate-subtree records."""
-    return _tagged(
-        sha256_hex(html),
-        f"records:v{RECORD_VERSION}:parser{PARSER_VERSION}"
-        f":extractor{EXTRACTOR_VERSION}:branching{int(require_branching)}",
     )
 
 
@@ -114,13 +95,10 @@ __all__ = [
     "EXTRACTOR_VERSION",
     "MODEL_VERSION",
     "PARSER_VERSION",
-    "RECORD_VERSION",
     "SIGNATURE_VERSION",
     "SPACE_VERSION",
-    "candidate_records_key",
     "model_key",
     "page_signature_key",
-    "page_tree_key",
     "sha256_hex",
     "space_key",
 ]

@@ -1,78 +1,18 @@
-"""Page-level artifacts: parsed tag trees and clustering signatures.
+"""Page-level artifacts: clustering signatures.
 
-The tag-tree codec is lossless with respect to the parser's output:
-``payload_to_tree(tree_to_payload(parse(html)))`` reproduces the exact
-node structure (tags, attributes, text, order), so a warm load is
-interchangeable with a cold parse — which is what lets the pipeline's
-bitwise warm == cold invariant extend all the way down to the DOM.
+A page's tag counts, term counts and max fanout are what Phase 1
+clusters on; a warm run primes them from here instead of counting and
+tokenizing the page again. Parsed trees and Phase-2 per-page results
+are not stored: recomputing them from the page is cheaper than a
+read-back.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.artifacts.keys import page_signature_key, page_tree_key
-from repro.artifacts.store import (
-    KIND_SIGNATURES,
-    KIND_TREES,
-    ArtifactStore,
-)
-from repro.html.tree import ContentNode, Node, TagNode, TagTree
-
-#: Payload schema: a tag node is ``[tag, [[attr, value], ...], [child,
-#: ...]]``; a content node is a plain string. Chosen for compact JSON.
-
-
-def tree_to_payload(tree: TagTree) -> list:
-    """Serialize a parsed tag tree to a JSON-ready nested list."""
-
-    def encode(node: Node):
-        if isinstance(node, ContentNode):
-            return node.text
-        assert isinstance(node, TagNode)
-        return [
-            node.tag,
-            [list(pair) for pair in node.attrs],
-            [encode(child) for child in node.children],
-        ]
-
-    return encode(tree.root)
-
-
-def payload_to_tree(payload, source_size: int = 0, url: str = "") -> TagTree:
-    """Rebuild a tag tree from :func:`tree_to_payload` output."""
-
-    def decode(item) -> Node:
-        if isinstance(item, str):
-            return ContentNode(item)
-        tag, attrs, children = item
-        node = TagNode(tag, tuple(tuple(pair) for pair in attrs))
-        for child in children:
-            node.append(decode(child))
-        return node
-
-    root = decode(payload)
-    if not isinstance(root, TagNode):
-        raise ValueError("tree payload root must be a tag node")
-    return TagTree(root, source_size=source_size, url=url)
-
-
-def cached_tree(
-    store: ArtifactStore, html: str, url: str = ""
-) -> Optional[TagTree]:
-    """Load the parsed tree of ``html`` from the store, or ``None``."""
-    payload = store.get_json(KIND_TREES, page_tree_key(html))
-    if payload is None:
-        return None
-    try:
-        return payload_to_tree(payload, source_size=len(html), url=url)
-    except (ValueError, TypeError, IndexError):
-        return None
-
-
-def put_tree(store: ArtifactStore, html: str, tree: TagTree) -> None:
-    """Persist the parsed tree of ``html``."""
-    store.put_json(KIND_TREES, page_tree_key(html), tree_to_payload(tree))
+from repro.artifacts.keys import page_signature_key
+from repro.artifacts.store import KIND_SIGNATURES, ArtifactStore
 
 
 def cached_signature(store: ArtifactStore, html: str) -> Optional[dict]:
@@ -109,11 +49,4 @@ def put_signature(
     )
 
 
-__all__ = [
-    "cached_signature",
-    "cached_tree",
-    "payload_to_tree",
-    "put_signature",
-    "put_tree",
-    "tree_to_payload",
-]
+__all__ = ["cached_signature", "put_signature"]

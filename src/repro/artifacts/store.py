@@ -31,10 +31,9 @@ from typing import Any, Optional
 
 from repro.artifacts.keys import sha256_hex  # noqa: F401  (re-export)
 
-#: Artifact kinds get one subdirectory each.
-KIND_TREES = "trees"
+#: Artifact kinds get one subdirectory each (the run-manifest, fleet
+#: and frontier kinds are defined next to their writers).
 KIND_SIGNATURES = "signatures"
-KIND_RECORDS = "records"
 KIND_SPACES = "spaces"
 KIND_MODELS = "models"
 
@@ -201,10 +200,8 @@ def load_persistent_stats(root: str | os.PathLike) -> dict:
 __all__ = [
     "ArtifactStore",
     "KIND_MODELS",
-    "KIND_RECORDS",
     "KIND_SIGNATURES",
     "KIND_SPACES",
-    "KIND_TREES",
     "load_persistent_stats",
     "merge_persistent_stats",
 ]

@@ -5,6 +5,9 @@ TFIDF content ranking (static pruning) → selection scoring → one
 QA-Pagelet per page (from the best-scoring set that has a member in
 that page), each annotated with the other dynamic subtrees it contains
 (the QA-Object recommendations for Stage 3).
+
+Phase 2 always computes from the cluster's page trees; an artifact
+store, when configured, is neither read nor written here.
 """
 
 from __future__ import annotations
@@ -12,14 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.config import ExecutionConfig, SubtreeConfig, resolve_cache_dir
+from repro.config import ExecutionConfig, SubtreeConfig
 from repro.core.page import Page
 from repro.core.pagelet import QAPagelet
 from repro.core.selection import ScoredSet, score_sets
-from repro.core.single_page import (
-    candidate_records_for_cluster,
-    candidate_subtrees_for_cluster,
-)
+from repro.core.single_page import candidate_subtrees_for_cluster
 from repro.core.subtree_ranking import (
     RankedSubtreeSet,
     dynamic_sets,
@@ -27,7 +27,6 @@ from repro.core.subtree_ranking import (
 )
 from repro.core.subtree_sets import find_common_subtree_sets
 from repro.errors import ExtractionError
-from repro.html.paths import resolve_path
 
 
 @dataclass(frozen=True)
@@ -76,20 +75,9 @@ class PageletIdentifier:
         if not pages:
             raise ExtractionError("cannot identify pagelets in an empty cluster")
         cfg = self.config
-        # The record-backed pipeline (node-free candidate snapshots)
-        # is what round-trips through the artifact cache; it is bitwise
-        # identical to the node-backed one, but snapshots term counts
-        # eagerly — so runs without a store keep the lazy node path.
-        if resolve_cache_dir(self.execution) is not None:
-            candidates = candidate_records_for_cluster(
-                pages,
-                require_branching=cfg.require_branching,
-                execution=self.execution,
-            )
-        else:
-            candidates = candidate_subtrees_for_cluster(
-                pages, require_branching=cfg.require_branching
-            )
+        candidates = candidate_subtrees_for_cluster(
+            pages, require_branching=cfg.require_branching
+        )
         if not any(candidates):
             return IdentificationResult(tuple(pages), (), (), ())
         sets = find_common_subtree_sets(
@@ -105,7 +93,6 @@ class PageletIdentifier:
             n_pages=len(pages),
             static_similarity_threshold=cfg.static_similarity_threshold,
             min_support=cfg.min_support,
-            execution=self.execution,
         )
         scored = score_sets(
             dynamic_sets(ranked),
@@ -170,7 +157,7 @@ class PageletIdentifier:
                 # Strict descendants of the pagelet are exactly the
                 # paths extending its own (see _containment_relation
                 # for why the trailing "/" makes this the descendant
-                # relation, for node-free record members too).
+                # relation).
                 prefix = member.shape.path + "/"
                 dynamic_paths = self._member_paths_inside(
                     prefix,
@@ -180,16 +167,11 @@ class PageletIdentifier:
                 static_paths = self._member_paths_inside(
                     prefix, page_index, static_sets
                 )
-                node = member.node
-                if node is None:
-                    # Record-backed winner: resolve the path against
-                    # the page's tree once, only for actual pagelets.
-                    node = resolve_path(page.tree, member.shape.path)
                 pagelets.append(
                     QAPagelet(
                         page=page,
                         path=member.shape.path,
-                        node=node,
+                        node=member.node,
                         score=scored_set.score,
                         rank=rank,
                         contained_dynamic_paths=dynamic_paths,

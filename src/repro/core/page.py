@@ -24,7 +24,6 @@ class Page:
         "html",
         "query",
         "_tree",
-        "_tree_loader",
         "_tag_counts",
         "_term_counts",
         "_max_fanout",
@@ -44,10 +43,6 @@ class Page:
         #: The probe query that produced this page (empty if unknown).
         self.query = query
         self._tree = tree
-        #: Optional alternative tree source (e.g. the artifact cache's
-        #: lossless codec) consulted before falling back to a parse —
-        #: see :meth:`set_tree_loader`.
-        self._tree_loader = None
         self._tag_counts: Optional[dict[str, int]] = None
         self._term_counts: Optional[dict[str, int]] = None
         self._max_fanout: Optional[int] = None
@@ -56,24 +51,11 @@ class Page:
     def __repr__(self) -> str:
         return f"Page(url={self.url!r}, bytes={self.size})"
 
-    def set_tree_loader(self, loader) -> None:
-        """Install a fallback tree source tried before parsing.
-
-        ``loader(page)`` must return a :class:`TagTree` *identical* to
-        what ``parse(page.html)`` would produce (the artifact cache's
-        tree codec is lossless, so a cached load qualifies) or ``None``
-        to fall back to parsing. Ignored once a tree exists.
-        """
-        self._tree_loader = loader
-
     @property
     def tree(self) -> TagTree:
-        """The parsed tag tree (loaded or parsed on first access)."""
+        """The parsed tag tree (parsed on first access)."""
         if self._tree is None:
-            if self._tree_loader is not None:
-                self._tree = self._tree_loader(self)
-            if self._tree is None:
-                self._tree = parse(self.html, url=self.url)
+            self._tree = parse(self.html, url=self.url)
         return self._tree
 
     @property

@@ -16,27 +16,20 @@ correspond to QA-Pagelets (Section 3.2.1):
 The page root itself is never a candidate: the paper's selection step
 explicitly discourages "the subtree corresponding to the entire page".
 
-Two output forms exist. :func:`candidate_subtrees` returns live
-:class:`~repro.html.tree.TagNode` handles into the page tree — the
-historical, serial form. :func:`page_candidate_records` snapshots the
-same candidates into node-free :class:`CandidateRecord` values (paths,
-shape quadruples, subtree term counts, sibling shapes) that serialize
-into the artifact cache; the records carry everything downstream
-Phase-2 steps read from a node, so the record-backed pipeline is
-bitwise identical to the node-backed one.
+:func:`candidate_subtrees` returns live :class:`~repro.html.tree.TagNode`
+handles into the page tree. Every later Phase-2 step reads what it
+needs (shape quadruple, root→node tags, subtree text, DOM siblings)
+from those nodes through the tree's preorder index, so Phase 2 has one
+path whether or not an artifact store is configured: recomputing from
+the tree costs less than reading a per-page record back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Sequence
 
-from repro.config import ExecutionConfig
 from repro.core.page import Page
-from repro.html.metrics import subtree_shape
-from repro.html.paths import node_tag_sequence
 from repro.html.tree import TagNode, TreeIndex, tree_index
-from repro.text.terms import DEFAULT_EXTRACTOR
 
 
 def _content_profile(index: TreeIndex) -> tuple[list[int], list[int]]:
@@ -95,163 +88,12 @@ def candidate_subtrees_for_cluster(
     return [candidate_subtrees(p, require_branching) for p in pages]
 
 
-# ---------------------------------------------------------------------------
-# Node-free candidate records (cacheable form)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CandidateRecord:
-    """A node-free snapshot of one candidate subtree.
-
-    Holds exactly what downstream Phase-2 steps read from a live node:
-    the shape quadruple ⟨P, F, D, N⟩, the raw root→node tag sequence
-    (q-letter simplification happens at grouping time so codec code
-    assignment order matches the node pipeline), the subtree's term
-    counts under the default extractor (dict insertion order is
-    load-bearing: it fixes vocabulary column order in the TFIDF
-    ranking), and the shapes of the member's DOM siblings (the
-    repeating-unit check in selection). Records round-trip through JSON
-    losslessly.
-    """
-
-    #: Path expression from the page root (the quadruple's P).
-    path: str
-    #: Raw tag names root→node, inclusive (pre-simplification).
-    tags: tuple[str, ...]
-    fanout: int
-    depth: int
-    nodes: int
-    #: Stemmed term counts of the subtree content (insertion-ordered).
-    term_counts: Mapping[str, int]
-    #: ``(tag, fanout, nodes)`` of each *other* tag child of the
-    #: member's parent, in document order. Sibling depth equals the
-    #: member's own depth (same parent), so it is not stored.
-    siblings: tuple[tuple[str, int, int], ...]
-
-
-def candidate_record(node: TagNode) -> CandidateRecord:
-    """Snapshot one candidate node into a :class:`CandidateRecord`."""
-    shape = subtree_shape(node)
-    siblings: list[tuple[str, int, int]] = []
-    parent = node.parent
-    if parent is not None:
-        for child in parent.tag_children():
-            if child is node:
-                continue
-            siblings.append((child.tag, child.fanout, child.size()))
-    return CandidateRecord(
-        path=shape.path,
-        tags=tuple(node_tag_sequence(node)),
-        fanout=shape.fanout,
-        depth=shape.depth,
-        nodes=shape.nodes,
-        term_counts=DEFAULT_EXTRACTOR.extract_counts(node.text()),
-        siblings=tuple(siblings),
-    )
-
-
-def record_to_payload(record: CandidateRecord) -> dict:
-    """JSON-ready form of a record (see :mod:`repro.artifacts`)."""
-    return {
-        "path": record.path,
-        "tags": list(record.tags),
-        "fanout": record.fanout,
-        "depth": record.depth,
-        "nodes": record.nodes,
-        "terms": dict(record.term_counts),
-        "siblings": [list(s) for s in record.siblings],
-    }
-
-
-def payload_to_record(payload) -> Optional[CandidateRecord]:
-    """Rebuild a record from JSON, or ``None`` if malformed."""
-    try:
-        return CandidateRecord(
-            path=payload["path"],
-            tags=tuple(payload["tags"]),
-            fanout=int(payload["fanout"]),
-            depth=int(payload["depth"]),
-            nodes=int(payload["nodes"]),
-            term_counts={
-                str(term): int(count)
-                for term, count in payload["terms"].items()
-            },
-            siblings=tuple(
-                (str(tag), int(fanout), int(nodes))
-                for tag, fanout, nodes in payload["siblings"]
-            ),
-        )
-    except (KeyError, TypeError, ValueError, AttributeError):
-        return None
-
-
-def _payloads_to_records(payload) -> Optional[list[CandidateRecord]]:
-    """Decode a cached per-page record list; ``None`` on any defect."""
-    if not isinstance(payload, list):
-        return None
-    records = []
-    for item in payload:
-        record = payload_to_record(item)
-        if record is None:
-            return None
-        records.append(record)
-    return records
-
-
-def _cached_records(
-    store, page: Page, require_branching: bool
-) -> list[CandidateRecord]:
-    """Candidate records for one page, through the artifact cache.
-
-    On a cache miss the page is parsed once (or its already-parsed tree
-    is reused) and both the records and the parsed tree are persisted —
-    the tree saves the re-parse when a warm run later resolves winner
-    paths back to nodes.
-    """
-    from repro.artifacts.keys import candidate_records_key
-    from repro.artifacts.pages import put_tree
-    from repro.artifacts.store import KIND_RECORDS
-
-    key = candidate_records_key(page.html, require_branching)
-    cached = _payloads_to_records(store.get_json(KIND_RECORDS, key))
-    if cached is not None:
-        return cached
-    records = [
-        candidate_record(node)
-        for node in candidate_subtrees(page, require_branching)
-    ]
-    store.put_json(KIND_RECORDS, key, [record_to_payload(r) for r in records])
-    put_tree(store, page.html, page.tree)
-    return records
-
-
 def candidate_records_for_cluster(
-    pages: Sequence[Page],
-    require_branching: bool = False,
-    execution: Optional[ExecutionConfig] = None,
-) -> list[list[CandidateRecord]]:
-    """Single-page analysis as records, cache-backed.
+    pages: Sequence[Page], require_branching: bool = False
+) -> list[list[TagNode]]:
+    """Former record-form entry point, now the node path itself.
 
-    With a configured cache directory each page's records are served
-    from — or published to — the persistent store. Output order follows
-    ``pages``, and per-page record order is the document order of
-    :func:`candidate_subtrees`, so the result is interchangeable with
-    the node pipeline's.
+    Kept as its own function only because the benchmark tracer still
+    names it (ROADMAP item 8 retires both the target and this shim).
     """
-    from repro.runtime import artifact_store_for
-
-    store = artifact_store_for(execution)
-    if store is not None:
-        return [
-            _cached_records(store, page, require_branching) for page in pages
-        ]
-    # No cache: derive from each page's own (possibly already parsed)
-    # tree without hashing anything.
-    return [
-        [
-            candidate_record(node)
-            for node in candidate_subtrees(page, require_branching)
-        ]
-        for page in pages
-    ]
+    return candidate_subtrees_for_cluster(pages, require_branching)

@@ -8,16 +8,18 @@ frequencies computed *within the set*), and the set's intra-similarity
 is the mean pairwise cosine of its members. Sets above the static
 threshold (0.5) are pruned; the rest are ranked ascending — lowest
 similarity (most dynamic) first.
+
+Each set is weighted from its members' live subtree text on every run:
+the batch is small, so building its space directly costs less than
+keying or persisting it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from repro.config import ExecutionConfig
-from repro.core.subtree_sets import CommonSubtreeSet, SubtreeCandidate
-from repro.runtime import cached_weighted_space
+from repro.core.subtree_sets import CommonSubtreeSet
 from repro.text.terms import TermExtractor, DEFAULT_EXTRACTOR
 from repro.vsm.matrix import weighted_space
 
@@ -34,27 +36,10 @@ class RankedSubtreeSet:
     is_static: bool
 
 
-def _member_term_counts(
-    candidate: SubtreeCandidate, extractor: TermExtractor
-) -> dict:
-    """A member's content term counts, from its record when possible.
-
-    Record-backed candidates snapshot the subtree's counts under the
-    default extractor at record-build time; the snapshot preserves the
-    extractor's insertion order, so using it is indistinguishable from
-    re-extracting the node text. Any other extractor (or a node-backed
-    candidate) extracts from the live node.
-    """
-    if candidate.term_counts is not None and extractor is DEFAULT_EXTRACTOR:
-        return candidate.term_counts
-    return extractor.extract_counts(candidate.node.text())
-
-
 def intra_set_similarity(
     subtree_set: CommonSubtreeSet,
     extractor: TermExtractor = DEFAULT_EXTRACTOR,
     use_tfidf: bool = True,
-    execution: Optional[ExecutionConfig] = None,
 ) -> float:
     """Mean pairwise cosine similarity of the set's member contents.
 
@@ -65,22 +50,16 @@ def intra_set_similarity(
     the ablation shown in Figure 9's left histogram.
 
     The whole set is weighted in one
-    :func:`repro.vsm.matrix.weighted_space` batch; given an
-    ``execution`` plan the batch goes through its keyed (and, when
-    configured, persistent) space cache, so a warm rerun skips the
-    TFIDF build per set.
+    :func:`repro.vsm.matrix.weighted_space` batch.
     """
     counts = [
-        _member_term_counts(c, extractor) for c in subtree_set.candidates()
+        extractor.extract_counts(c.node.text())
+        for c in subtree_set.candidates()
     ]
     n = len(counts)
     if n <= 1:
         return 1.0
-    scheme = "tfidf" if use_tfidf else "raw"
-    if execution is not None:
-        space = cached_weighted_space(counts, scheme, execution)
-    else:
-        space = weighted_space(counts, scheme)
+    space = weighted_space(counts, "tfidf" if use_tfidf else "raw")
     # Rows are unit length (or zero), so the mean pairwise cosine has a
     # closed form: Σ_{i<j} v_i·v_j = (‖Σv‖² − #non-zero) / 2, one
     # axis-sum and one dot product instead of the naive O(n²·dims).
@@ -115,7 +94,6 @@ def rank_subtree_sets(
     min_support: float = 0.5,
     extractor: TermExtractor = DEFAULT_EXTRACTOR,
     use_tfidf: bool = True,
-    execution: Optional[ExecutionConfig] = None,
 ) -> list[RankedSubtreeSet]:
     """Score, filter, and rank common subtree sets.
 
@@ -131,9 +109,7 @@ def rank_subtree_sets(
     for subtree_set in sets:
         if subtree_set.support < min_pages:
             continue
-        similarity = intra_set_similarity(
-            subtree_set, extractor, use_tfidf, execution=execution
-        )
+        similarity = intra_set_similarity(subtree_set, extractor, use_tfidf)
         ranked.append(
             RankedSubtreeSet(
                 subtree_set=subtree_set,

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import random
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -44,29 +44,13 @@ _cached_path_distance = cached_normalized_levenshtein
 
 @dataclass(frozen=True)
 class SubtreeCandidate:
-    """One candidate subtree with its precomputed shape features.
-
-    ``node`` is ``None`` for candidates built from node-free
-    :class:`~repro.core.single_page.CandidateRecord` snapshots (the
-    parallel/cached pipeline); those carry the record's term counts,
-    raw tag sequence, and sibling shapes instead, which is everything
-    downstream ranking and selection otherwise read from the node.
-    """
+    """One candidate subtree with its precomputed shape features."""
 
     page_index: int
-    node: Optional[TagNode]
+    node: TagNode
     shape: SubtreeShape
     #: The root→node tag sequence simplified to q-letter codes.
     code_path: str
-    #: Subtree term counts (record-backed candidates only).
-    term_counts: Optional[Mapping[str, int]] = field(default=None, compare=False)
-    #: Raw root→node tag names (record-backed candidates only).
-    tags: Optional[tuple[str, ...]] = field(default=None, compare=False)
-    #: ``(tag, fanout, nodes)`` of the member's other DOM siblings
-    #: (record-backed candidates only).
-    siblings: Optional[tuple[tuple[str, int, int], ...]] = field(
-        default=None, compare=False
-    )
 
 
 def make_candidate(
@@ -78,32 +62,6 @@ def make_candidate(
         node=node,
         shape=subtree_shape(node),
         code_path=codec.simplify(node_tag_sequence(node)),
-    )
-
-
-def make_candidate_from_record(
-    page_index: int, record, codec: TagCodec
-) -> SubtreeCandidate:
-    """Wrap a node-free candidate record for cross-page analysis.
-
-    The codec simplifies the record's raw tag sequence exactly where
-    :func:`make_candidate` would simplify the node's, so first-come
-    code assignment — and therefore every path distance — matches the
-    node pipeline bitwise.
-    """
-    return SubtreeCandidate(
-        page_index=page_index,
-        node=None,
-        shape=SubtreeShape(
-            path=record.path,
-            fanout=record.fanout,
-            depth=record.depth,
-            nodes=record.nodes,
-        ),
-        code_path=codec.simplify(list(record.tags)),
-        term_counts=record.term_counts,
-        tags=tuple(record.tags),
-        siblings=tuple(record.siblings),
     )
 
 
@@ -309,19 +267,12 @@ class CommonSubtreeSet:
         return len(self.members)
 
 
-def _as_candidate(page_index: int, item, codec: TagCodec) -> SubtreeCandidate:
-    """Adapt one per-page item — live node or node-free record."""
-    if isinstance(item, TagNode):
-        return make_candidate(page_index, item, codec)
-    return make_candidate_from_record(page_index, item, codec)
-
-
 #: Sort key of an assignable ``(distance, set, candidate)`` pair.
 _by_distance = itemgetter(0)
 
 
 def find_common_subtree_sets(
-    candidates_per_page: Sequence[Sequence[Any]],
+    candidates_per_page: Sequence[Sequence[TagNode]],
     weights: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25),
     max_assign_distance: float = 0.5,
     path_code_length: int = 1,
@@ -331,11 +282,8 @@ def find_common_subtree_sets(
 ) -> list[CommonSubtreeSet]:
     """Group candidate subtrees across the cluster's pages.
 
-    ``candidates_per_page[i]`` holds page i's candidates from
-    single-page analysis — either live :class:`TagNode` handles or
-    node-free :class:`~repro.core.single_page.CandidateRecord`
-    snapshots (the parallel/cached pipeline); both forms produce
-    identical groupings. The prototype page is chosen at random
+    ``candidates_per_page[i]`` holds page i's candidate nodes from
+    single-page analysis. The prototype page is chosen at random
     (seeded) unless ``prototype_index`` pins it. Pages other than the
     prototype are matched greedily: all (set, candidate) pairs are
     sorted by distance and accepted when both the set's slot for that
@@ -374,14 +322,14 @@ def find_common_subtree_sets(
 
     sets = []
     for node in prototype_nodes:
-        candidate = _as_candidate(prototype_index, node, codec)
+        candidate = make_candidate(prototype_index, node, codec)
         sets.append(CommonSubtreeSet(candidate, {prototype_index: candidate}))
 
     prototypes = [subtree_set.prototype for subtree_set in sets]
     for page_index, nodes in enumerate(candidates_per_page):
         if page_index == prototype_index or not nodes:
             continue
-        page_candidates = [_as_candidate(page_index, n, codec) for n in nodes]
+        page_candidates = [make_candidate(page_index, n, codec) for n in nodes]
         pairs = _assignable_pairs(
             prototypes, page_candidates, weights, max_assign_distance
         )

@@ -203,10 +203,10 @@ class Thor:
         """Stage 2: two-phase QA-Pagelet extraction over sampled pages.
 
         With a configured artifact cache, pages are prewarmed from the
-        store first (clustering signatures injected, lazy tree loads
-        redirected to the cached lossless codec) and signatures
+        store first (clustering signatures injected) and signatures
         computed on this run are persisted afterwards — the cache only
         changes *when* values are computed, never what they are.
+        Phase 2 always recomputes from the page trees.
 
         A :class:`~repro.config.RunOptions` with a ``run_id`` makes the
         extraction checkpointed: the Phase-1 fit is published to the
@@ -377,13 +377,9 @@ class Thor:
         primed: set[int] = set()
         if store is None:
             return primed
-        from repro.artifacts.pages import cached_signature, cached_tree
-
-        def load_tree(page: Page):
-            return cached_tree(store, page.html, page.url)
+        from repro.artifacts.pages import cached_signature
 
         for page in pages:
-            page.set_tree_loader(load_tree)
             signature = cached_signature(store, page.html)
             if signature is None:
                 continue
@@ -980,8 +976,8 @@ class Thor:
         manifest; ``resume=True`` then skips stages the manifest marks
         complete — after a crash, a resumed run re-probes nothing,
         restores the Phase-1 fit from the cluster checkpoint instead of
-        re-running the K-Means restarts, and re-derives Phase-2 work
-        from the warm artifact cache, producing a result digest
+        re-running the K-Means restarts, and recomputes Phase 2 from
+        the page trees, producing a result digest
         bitwise-identical to an uninterrupted run. Resume hits are
         accounted on the run report.
         """

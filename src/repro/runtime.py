@@ -22,7 +22,9 @@ and provides the shared machinery:
   times with different k/restart settings; interning the collection
   into a :class:`~repro.vsm.matrix.VectorSpace` each time was the
   dominant cost. The cache keys on the collection *content* (count
-  maps + weighting scheme), so it can never serve a stale space.
+  maps + weighting scheme), so it can never serve a stale space. Only
+  Phase 1's page-signature spaces go through it: a Phase-2 subtree set
+  is small and seen once per run, so ranking builds its space directly.
 
 The user-facing knobs live on :class:`repro.config.ExecutionConfig`
 (re-exported here), threaded through ``ThorConfig.execution``, every

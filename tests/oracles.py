@@ -29,7 +29,7 @@ from repro.cluster.hierarchical import AgglomerativeResult, AverageLinkClusterer
 from repro.cluster.kmeans import KMeans, KMeansResult
 from repro.cluster.kmedoids import KMedoids, KMedoidsResult
 from repro.cluster.treeedit import _AnnotatedTree, _compute_treedist
-from repro.core.subtree_ranking import _clamp_unit, _member_term_counts
+from repro.core.subtree_ranking import _clamp_unit
 from repro.core.subtree_sets import (
     CommonSubtreeSet,
     SubtreeCandidate,
@@ -376,7 +376,7 @@ def set_content_vectors(
 ) -> list[SparseVector]:
     """One :class:`SparseVector` per member (TFIDF within the set, or
     raw normalized term frequencies)."""
-    counts = [_member_term_counts(c, extractor) for c in subtree_set.candidates()]
+    counts = [extractor.extract_counts(c.node.text()) for c in subtree_set.candidates()]
     if not use_tfidf:
         return [raw_tf_vector(c) for c in counts]
     weighter = CorpusWeighter.fit(counts)

@@ -11,30 +11,22 @@ import pytest
 from repro.artifacts import (
     ArtifactStore,
     KIND_MODELS,
-    KIND_RECORDS,
+    KIND_SIGNATURES,
     KIND_SPACES,
-    KIND_TREES,
     artifact_report,
     cached_signature,
-    cached_tree,
-    candidate_records_key,
     collect,
     format_artifact_report,
     load_persistent_stats,
     merge_persistent_stats,
     model_key,
     page_signature_key,
-    page_tree_key,
-    payload_to_tree,
     put_signature,
-    put_tree,
     space_key,
     store_usage,
-    tree_to_payload,
 )
 from repro.artifacts.gc import iter_entries
 from repro.config import ExecutionConfig, resolve_cache_dir
-from repro.html.parser import parse
 
 
 HTML = "<html><body><div id='a'>hello <b>world</b></div><p>x</p></body></html>"
@@ -42,24 +34,19 @@ HTML = "<html><body><div id='a'>hello <b>world</b></div><p>x</p></body></html>"
 
 class TestKeys:
     def test_keys_are_deterministic(self):
-        assert page_tree_key(HTML) == page_tree_key(HTML)
         assert page_signature_key(HTML) == page_signature_key(HTML)
+        assert model_key("site", "fp") == model_key("site", "fp")
 
     def test_keys_differ_by_content(self):
-        assert page_tree_key(HTML) != page_tree_key(HTML + " ")
+        assert page_signature_key(HTML) != page_signature_key(HTML + " ")
 
-    def test_kinds_of_one_page_get_distinct_keys(self):
+    def test_kinds_get_distinct_keys(self):
         keys = {
-            page_tree_key(HTML),
             page_signature_key(HTML),
-            candidate_records_key(HTML, False),
+            model_key(HTML, ""),
+            space_key([{HTML: 1}], "tfidf"),
         }
         assert len(keys) == 3
-
-    def test_records_key_folds_in_parameters(self):
-        assert candidate_records_key(HTML, True) != candidate_records_key(
-            HTML, False
-        )
 
     def test_extractor_version_retires_every_term_derived_kind(
         self, monkeypatch
@@ -69,16 +56,13 @@ class TestKeys:
         def derived():
             return (
                 page_signature_key(HTML),
-                candidate_records_key(HTML, False),
                 model_key("site", "fingerprint"),
             )
 
-        tree = page_tree_key(HTML)
         current = derived()
         monkeypatch.setattr(keys, "EXTRACTOR_VERSION", keys.EXTRACTOR_VERSION - 1)
         older = derived()
         assert all(new != old for new, old in zip(current, older))
-        assert page_tree_key(HTML) == tree  # a parse is term-free
 
     def test_space_key_is_iteration_order_sensitive(self):
         # Column order of the vocabulary is load-bearing for the
@@ -94,8 +78,8 @@ class TestStore:
     def test_json_round_trip(self, tmp_path):
         store = ArtifactStore(tmp_path)
         value = {"b": 2, "a": [1, "x", None]}
-        store.put_json(KIND_RECORDS, "ab" * 32, value)
-        loaded = store.get_json(KIND_RECORDS, "ab" * 32)
+        store.put_json(KIND_SIGNATURES, "ab" * 32, value)
+        loaded = store.get_json(KIND_SIGNATURES, "ab" * 32)
         assert loaded == value
         # JSON preserves dict insertion order.
         assert list(loaded) == ["b", "a"]
@@ -106,24 +90,24 @@ class TestStore:
 
     def test_missing_key_is_counted_miss(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        assert store.get_json(KIND_RECORDS, "00" * 32) is None
+        assert store.get_json(KIND_SIGNATURES, "00" * 32) is None
         assert store.stats()["misses"] == 1
 
     def test_corrupt_file_is_counted_miss_and_repairable(self, tmp_path):
         store = ArtifactStore(tmp_path)
         key = "cd" * 32
-        store.put_json(KIND_RECORDS, key, [1, 2])
-        path = store._path(KIND_RECORDS, key, "json")
+        store.put_json(KIND_SIGNATURES, key, [1, 2])
+        path = store._path(KIND_SIGNATURES, key, "json")
         with open(path, "wb") as handle:
             handle.write(b"{truncated")
-        assert store.get_json(KIND_RECORDS, key) is None
+        assert store.get_json(KIND_SIGNATURES, key) is None
         assert store.stats()["misses"] == 1
-        store.put_json(KIND_RECORDS, key, [1, 2])
-        assert store.get_json(KIND_RECORDS, key) == [1, 2]
+        store.put_json(KIND_SIGNATURES, key, [1, 2])
+        assert store.get_json(KIND_SIGNATURES, key) == [1, 2]
 
     def test_no_tmp_files_left_behind(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        store.put_json(KIND_RECORDS, "ef" * 32, {"k": 1})
+        store.put_json(KIND_SIGNATURES, "ef" * 32, {"k": 1})
         leftovers = [
             name
             for _, _, files in os.walk(tmp_path)
@@ -148,12 +132,12 @@ class TestStore:
 
     def test_stats_ledger_accumulates_across_flushes(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        store.put_json(KIND_RECORDS, "aa" * 32, 1)
-        store.get_json(KIND_RECORDS, "aa" * 32)
+        store.put_json(KIND_SIGNATURES, "aa" * 32, 1)
+        store.get_json(KIND_SIGNATURES, "aa" * 32)
         store.flush_stats()
         assert store.stats()["puts"] == 0  # folded into the ledger
         other = ArtifactStore(tmp_path)  # a second process
-        other.get_json(KIND_RECORDS, "no" * 32)
+        other.get_json(KIND_SIGNATURES, "no" * 32)
         other.flush_stats()
         ledger = load_persistent_stats(tmp_path)
         assert ledger["puts"] == 1
@@ -164,29 +148,6 @@ class TestStore:
         (tmp_path / "stats.json").write_text("not json")
         totals = merge_persistent_stats(tmp_path, {"hits": 2})
         assert totals == {"hits": 2}
-
-
-class TestTreeCodec:
-    def test_round_trip_is_lossless(self):
-        tree = parse(HTML)
-        rebuilt = payload_to_tree(tree_to_payload(tree))
-        # Equal payloads == equal node structure (tags, attrs, text,
-        # order) — the codec is its own witness.
-        assert tree_to_payload(rebuilt) == tree_to_payload(tree)
-
-    def test_cached_tree_round_trip(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        assert cached_tree(store, HTML) is None
-        put_tree(store, HTML, parse(HTML))
-        tree = cached_tree(store, HTML, url="http://x/")
-        assert tree is not None
-        assert tree.url == "http://x/"
-        assert tree_to_payload(tree) == tree_to_payload(parse(HTML))
-
-    def test_string_root_payload_rejected(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        store.put_json(KIND_TREES, page_tree_key(HTML), "just text")
-        assert cached_tree(store, HTML) is None
 
 
 class TestSignatures:
@@ -205,7 +166,7 @@ class TestSignatures:
     def test_incomplete_bundle_rejected(self, tmp_path):
         store = ArtifactStore(tmp_path)
         store.put_json(
-            KIND_RECORDS, page_signature_key(HTML), {"tag_counts": {}}
+            KIND_SIGNATURES, page_signature_key(HTML), {"tag_counts": {}}
         )
         assert cached_signature(store, HTML) is None
 
@@ -214,7 +175,7 @@ class TestGc:
     def _fill(self, tmp_path, n=6):
         store = ArtifactStore(tmp_path)
         for i in range(n):
-            store.put_json(KIND_RECORDS, f"{i:02d}" * 32, {"i": i, "pad": "x" * 64})
+            store.put_json(KIND_SIGNATURES, f"{i:02d}" * 32, {"i": i, "pad": "x" * 64})
         store.flush_stats()
         return store
 
@@ -293,13 +254,13 @@ class TestGc:
 
     def test_usage_report_breaks_down_by_kind(self, tmp_path):
         store = self._fill(tmp_path)
-        put_tree(store, HTML, parse(HTML))
+        store.put_json(KIND_SPACES, "ab" * 32, {"pad": "x"})
         usage = store_usage(tmp_path)
         assert usage["entries"] == 7
         report = artifact_report(tmp_path)
         text = format_artifact_report(report)
-        assert "records: 6 entries" in text
-        assert "trees: 1 entries" in text
+        assert "signatures: 6 entries" in text
+        assert "spaces: 1 entries" in text
         assert "lifetime:" in text
 
 
@@ -459,7 +420,6 @@ class TestStoreFilledBeforeUnicodeWords:
     def test_warm_run_equals_cold_run(self, tmp_path, monkeypatch, fresh_caches):
         from repro.artifacts import keys
         from repro.config import ThorConfig
-        from repro.core.single_page import candidate_records_for_cluster
         from repro.core.thor import Thor
         from repro.io.export import result_digest
         from repro.text import tokenize
@@ -471,21 +431,111 @@ class TestStoreFilledBeforeUnicodeWords:
 
         execution = ExecutionConfig(cache_dir=str(tmp_path))
         cold = extract(ExecutionConfig())
-        cold_records = candidate_records_for_cluster(self.accented_pages())
 
         # Fill the store the way the version-1 extractor did.
         with monkeypatch.context() as old:
             old.setattr(tokenize, "_WORD_RE", self.ASCII_WORDS)
             old.setattr(keys, "EXTRACTOR_VERSION", 1)
             stale = extract(execution)
-            candidate_records_for_cluster(
-                self.accented_pages(), execution=execution
-            )
         assert stale != cold  # the stale entries would change the result
 
         assert extract(execution) == cold
-        fresh_caches()
-        warm_records = candidate_records_for_cluster(
-            self.accented_pages(), execution=execution
-        )
-        assert warm_records == cold_records
+
+
+class TestStoreWithRetiredPhase2Kinds:
+    """Stores filled while Phase 2 still cached per-page candidate
+    records (``records/``) and parsed trees (``trees/``) stay usable:
+    runs ignore those entries and GC still counts and evicts them."""
+
+    @staticmethod
+    def old_key(html: str, tag: str) -> str:
+        """The content-addressed key those kinds were written under."""
+        from repro.artifacts.keys import sha256_hex
+
+        return f"{sha256_hex(html)}-{sha256_hex(tag)[:16]}"
+
+    def fill_old_entries(self, root, pages) -> dict:
+        """Write a records and a tree entry per page in the retired
+        layout, ``<root>/<kind>/<key[:2]>/<key>.json``, with payloads
+        that would change the result if anything read them."""
+        from repro.artifacts.keys import EXTRACTOR_VERSION, PARSER_VERSION
+
+        bogus_record = {
+            "path": "html/body", "tags": ["html", "body"], "fanout": 1,
+            "depth": 1, "nodes": 2, "terms": {"bogus": 1}, "siblings": [],
+        }
+        bogus_tree = ["html", [], [["body", [], ["bogus"]]]]
+        written = {}
+        for page in pages:
+            for kind, tag, payload in (
+                (
+                    "records",
+                    f"records:v1:parser{PARSER_VERSION}"
+                    f":extractor{EXTRACTOR_VERSION}:branching0",
+                    [bogus_record],
+                ),
+                ("trees", f"tree:v{PARSER_VERSION}", bogus_tree),
+            ):
+                key = self.old_key(page.html, tag)
+                path = root / kind / key[:2] / f"{key}.json"
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(json.dumps(payload))
+                written[str(path)] = path.read_bytes()
+        return written
+
+    @staticmethod
+    def music_pages():
+        from repro.deepweb import generate_corpus
+
+        return list(generate_corpus(n_sites=1, seed=2, domains=["music"])[0].pages)
+
+    def test_run_ignores_old_entries(self, tmp_path):
+        from repro.config import ThorConfig
+        from repro.core.page import Page
+        from repro.core.thor import Thor
+        from repro.io.export import result_digest
+        from repro.runtime import clear_artifact_store_registry
+
+        def extract(execution):
+            clear_artifact_store_registry()
+            pages = [
+                Page(p.html, url=p.url, query=p.query)
+                for p in self.music_pages()
+            ]
+            config = ThorConfig(seed=1, execution=execution)
+            return result_digest(Thor(config).extract(pages))
+
+        no_store = extract(ExecutionConfig())
+        written = self.fill_old_entries(tmp_path, self.music_pages())
+        execution = ExecutionConfig(cache_dir=str(tmp_path))
+        assert extract(execution) == no_store  # cold signatures
+        assert extract(execution) == no_store  # warm signatures
+        clear_artifact_store_registry()
+        for path, content in written.items():
+            with open(path, "rb") as handle:
+                assert handle.read() == content
+
+    def test_gc_counts_and_evicts_old_entries(self, tmp_path, capsys):
+        from repro.cli import main
+
+        pages = self.music_pages()[:5]
+        written = self.fill_old_entries(tmp_path, pages)
+        store = ArtifactStore(tmp_path)
+        for page in pages:
+            put_signature(store, page.html, {"p": 1}, {"t": 1}, 1)
+
+        assert main(["artifacts-gc", "--cache-dir", str(tmp_path)]) == 0
+        text = capsys.readouterr().out
+        assert "gc: removed 0 of 15 entries" in text
+        assert "records: 5 entries" in text
+        assert "trees: 5 entries" in text
+
+        for path in written:
+            os.utime(path, (1, 1))  # older than any age limit
+        argv = ["artifacts-gc", "--cache-dir", str(tmp_path), "--max-age-days", "1"]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert "gc: removed 10 of 15 entries" in text
+        assert "records:" not in text and "trees:" not in text
+        assert "signatures: 5 entries" in text
+        assert not any(os.path.exists(path) for path in written)

@@ -20,7 +20,7 @@ from repro.resilience import FaultPlan, activate_fault_plan
 
 np = pytest.importorskip("numpy")
 
-KIND = "records"
+KIND = "signatures"
 
 
 def _artifact_path(store: ArtifactStore, kind: str, key: str, ext: str) -> str:

@@ -19,12 +19,12 @@ from repro.cluster.editdist import (
     normalized_levenshtein,
 )
 from repro.config import ExecutionConfig
-from repro.core.single_page import candidate_records_for_cluster
+from repro.core.single_page import candidate_subtrees_for_cluster
 from repro.core.subtree_sets import (
     SubtreeCandidate,
     clear_quad_matrix_memo,
     find_common_subtree_sets,
-    make_candidate_from_record,
+    make_candidate,
     quad_matrix_memo_stats,
     set_quad_matrix_memo_limit,
     shape_distance,
@@ -60,12 +60,12 @@ def cluster_pages(domain: str, seed: int = 2, n: int = 8):
 
 def domain_candidates(domain: str, n: int = 6) -> list[SubtreeCandidate]:
     """Real candidates (one flat list) from one domain's pages."""
-    records = candidate_records_for_cluster(cluster_pages(domain, n=n))
+    nodes = candidate_subtrees_for_cluster(cluster_pages(domain, n=n))
     codec = TagCodec(1)
     return [
-        make_candidate_from_record(i, record, codec)
-        for i, page_records in enumerate(records)
-        for record in page_records
+        make_candidate(i, node, codec)
+        for i, page_nodes in enumerate(nodes)
+        for node in page_nodes
     ]
 
 
@@ -238,9 +238,9 @@ class TestQuadMatrixMemo:
             set_quad_matrix_memo_limit(-1)
 
     def test_quad_memo_limit_wired_from_execution_config(self):
-        records = candidate_records_for_cluster(cluster_pages("music", n=4))
+        nodes = candidate_subtrees_for_cluster(cluster_pages("music", n=4))
         find_common_subtree_sets(
-            records,
+            nodes,
             seed=0,
             execution=ExecutionConfig(distance_memo_entries=7),
         )
@@ -257,7 +257,7 @@ class TestQuadMatrixMemo:
 
 class TestRecordTransportOption:
     def test_record_transport_validation(self):
-        # Phase-2 records never cross a process boundary; the option
+        # Phase 2 computes in-process from the page trees; the option
         # is gone.
         with pytest.raises(TypeError, match="record_transport"):
             ExecutionConfig(record_transport="pickle")

@@ -1,16 +1,17 @@
-"""Bitwise-equivalence tests for the cache-backed Phase 2.
+"""Phase 2 with and without an artifact store, in one process.
 
-The hard invariant under test: the record-backed pipeline (node-free
-candidate snapshots round-tripped through the persistent artifact
-store) produces *bitwise identical* extraction output to the plain
-node-backed pipeline — warm == cold, on every deep-web domain — and
-no execution setting makes one site's run leave its own process.
+The invariants under test: Phase 2 computes from the page trees whether
+or not a store is configured — it neither reads nor writes the store —
+so a run with a store (cold or warm) is *bitwise identical* to one
+without, on every deep-web domain; and no execution setting makes one
+site's run leave its own process.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -20,11 +21,8 @@ from repro.config import ExecutionConfig, SubtreeConfig
 from repro.core import subtree_ranking, subtree_sets
 from repro.core.identification import PageletIdentifier
 from repro.core.single_page import (
-    candidate_record,
     candidate_records_for_cluster,
     candidate_subtrees_for_cluster,
-    payload_to_record,
-    record_to_payload,
 )
 from repro.deepweb import generate_corpus
 from repro.deepweb.domains import DOMAINS
@@ -102,31 +100,24 @@ def no_process_pools(monkeypatch):
 def identify(pages, execution=None):
     # The prototype-page draw is seeded: an unseeded identifier would
     # make the two runs we compare diverge for reasons unrelated to
-    # the record/cache machinery under test.
+    # the store under test.
     return PageletIdentifier(
         SubtreeConfig(), seed=0, execution=execution
     ).identify(pages)
 
 
-class TestRecordPipeline:
-    def test_record_round_trips_through_json(self):
-        pages = cluster_pages("ecommerce", n=3)
-        nodes = candidate_subtrees_for_cluster(pages)
-        for node in nodes[0]:
-            record = candidate_record(node)
-            assert payload_to_record(record_to_payload(record)) == record
-
-    def test_records_match_nodes_without_cache(self):
+class TestTracerShim:
+    def test_candidate_records_for_cluster_is_the_node_path(self):
+        # A separate function object (so an outside tracer wrapping
+        # both names never wraps one function twice) that returns the
+        # node path's candidates.
+        assert candidate_records_for_cluster is not candidate_subtrees_for_cluster
         pages = cluster_pages("music", n=4)
-        from_nodes = [
-            [candidate_record(n) for n in page_nodes]
-            for page_nodes in candidate_subtrees_for_cluster(pages)
-        ]
-        assert candidate_records_for_cluster(pages) == from_nodes
-
-    def test_malformed_payload_decodes_to_none(self):
-        assert payload_to_record({"path": "html"}) is None
-        assert payload_to_record("nonsense") is None
+        nodes = candidate_subtrees_for_cluster(pages)
+        assert candidate_records_for_cluster(pages) == nodes
+        assert candidate_records_for_cluster(pages, True) == (
+            candidate_subtrees_for_cluster(pages, True)
+        )
 
 
 class TestBitwiseEquivalence:
@@ -135,53 +126,44 @@ class TestBitwiseEquivalence:
         domain=st.sampled_from(ALL_DOMAINS),
         seed=st.integers(min_value=0, max_value=3),
     )
-    def test_record_path_matches_node_path_on_every_domain(
+    def test_store_path_matches_no_store_on_every_domain(
         self, domain, seed, tmp_path_factory
     ):
-        # The node-backed pipeline (no execution config) vs the
-        # record-backed one (forced by a cache dir), serial both times.
         pages = cluster_pages(domain, seed=seed, n=8)
         baseline = result_digest(pages, identify(pages))
         root = tmp_path_factory.mktemp(f"store-{domain}-{seed}")
         execution = ExecutionConfig(cache_dir=str(root))
-        recorded = result_digest(pages, identify(pages, execution))
-        assert recorded == baseline
+        stored = result_digest(pages, identify(pages, execution))
+        assert stored == baseline
 
     @pytest.mark.parametrize("domain", ALL_DOMAINS)
     def test_n_jobs_matches_serial(self, domain, tmp_path, no_process_pools):
         # n_jobs only sets probe concurrency: Phase 2 stays in-process
-        # and bitwise serial, on the node path and the record path.
+        # and bitwise serial, with or without a store.
         pages = cluster_pages(domain, n=8)
         baseline = result_digest(pages, identify(pages))
-        nodes = result_digest(pages, identify(pages, ExecutionConfig(n_jobs=2)))
-        records = result_digest(
+        plain = result_digest(pages, identify(pages, ExecutionConfig(n_jobs=2)))
+        stored = result_digest(
             pages,
             identify(pages, ExecutionConfig(n_jobs=2, cache_dir=str(tmp_path))),
         )
-        assert nodes == baseline
-        assert records == baseline
+        assert plain == baseline
+        assert stored == baseline
 
-    def test_warm_equals_cold_with_hits(self, tmp_path, fresh_caches):
+    def test_identify_never_touches_the_store(self, tmp_path, fresh_caches):
         from repro.runtime import artifact_store_for
 
         execution = ExecutionConfig(cache_dir=str(tmp_path))
         pages = cluster_pages("travel", n=8)
         baseline = result_digest(pages, identify(pages))
-
-        cold = result_digest(pages, identify(pages, execution))
-        cold_stats = artifact_store_for(execution).stats()
-        assert cold_stats["puts"] > 0
-        assert cold_stats["hits"] == 0
-
-        fresh_caches()  # drop every in-memory cache; disk survives
-        warm_pages = cluster_pages("travel", n=8)  # unparsed pages
-        warm = result_digest(warm_pages, identify(warm_pages, execution))
-        warm_stats = artifact_store_for(execution).stats()
-        assert warm_stats["hits"] > 0
-        assert warm_stats["puts"] == 0
-
-        assert cold == baseline
-        assert warm == baseline
+        for _ in range(2):  # a first and a repeated run alike
+            fresh_caches()
+            again = cluster_pages("travel", n=8)  # unparsed pages
+            assert result_digest(again, identify(again, execution)) == baseline
+            assert artifact_store_for(execution).stats() == {
+                "hits": 0, "misses": 0, "puts": 0, "bytes_written": 0,
+            }
+        assert os.listdir(tmp_path) == []
 
     def test_backends_agree_on_extraction_outputs(self, tmp_path, monkeypatch):
         # The scalar oracles don't promise bitwise-equal similarity
@@ -203,9 +185,7 @@ class TestBitwiseEquivalence:
         monkeypatch.setattr(
             subtree_ranking,
             "intra_set_similarity",
-            lambda subtree_set, extractor, use_tfidf, execution=None: (
-                oracles.intra_set_similarity(subtree_set, extractor, use_tfidf)
-            ),
+            oracles.intra_set_similarity,
         )
         assert outputs() == production
 
@@ -223,44 +203,41 @@ class TestBitwiseEquivalence:
 
 class TestConcurrentWriters:
     def test_two_workers_race_on_the_same_keys(self, tmp_path):
-        """Two processes publishing the same artifacts concurrently.
+        """Two processes extracting the same pages into one store.
 
-        Every page appears in both workers' chunks, so both processes
-        race to publish every key. Last-writer-wins atomic publishes
-        mean the store stays readable and the records stay exact.
+        Both publish every page signature and Phase-1 space at once.
+        Last-writer-wins atomic publishes mean the store stays readable
+        and every run, warm ones included, gives the no-store result.
         """
         from repro.runtime import run_chunked
 
-        pages = cluster_pages("library", n=6)
-        htmls = [p.html for p in pages]
-        expected = candidate_records_for_cluster(pages)
-        # Duplicate the whole page list: chunking over 2 workers gives
-        # each worker one full copy, racing on every key.
-        doubled = run_chunked(
-            _cached_records_worker, str(tmp_path), htmls + htmls, 2
+        htmls = [p.html for p in cluster_pages("library", n=12)]
+        expected = _extract_digest(htmls, ExecutionConfig())
+        # Two items, each the whole page list: over 2 workers, each
+        # worker extracts one full copy, racing on every key.
+        raced = run_chunked(
+            _store_extract_worker, str(tmp_path), [htmls, htmls], 2
         )
-        assert doubled[: len(htmls)] == expected
-        assert doubled[len(htmls) :] == expected
-        # And a warm read-back from the racing writers' store is exact.
-        warm = candidate_records_for_cluster(
-            cluster_pages("library", n=6),
-            execution=ExecutionConfig(cache_dir=str(tmp_path)),
-        )
-        assert warm == expected
+        assert raced == [expected, expected]
+        execution = ExecutionConfig(cache_dir=str(tmp_path))
+        assert _extract_digest(htmls, execution) == expected
 
 
-def _cached_records_worker(cache_root, htmls):
-    """Process-pool worker: records for a chunk of page HTML strings,
-    served from (or published to) the store at ``cache_root``."""
+def _extract_digest(htmls, execution) -> str:
+    from repro.config import ThorConfig
     from repro.core.page import Page
-    from repro.runtime import artifact_store_for
+    from repro.core.thor import Thor
+    from repro.io.export import result_digest as run_digest
 
+    config = ThorConfig(seed=1, execution=execution)
+    return run_digest(Thor(config).extract([Page(html) for html in htmls]))
+
+
+def _store_extract_worker(cache_root, copies):
+    """Process-pool worker: one extraction digest per copy of the page
+    list, each through the store at ``cache_root``."""
     execution = ExecutionConfig(cache_dir=cache_root)
-    records = candidate_records_for_cluster(
-        [Page(html) for html in htmls], execution=execution
-    )
-    artifact_store_for(execution).flush_stats()
-    return records
+    return [_extract_digest(htmls, execution) for htmls in copies]
 
 
 class TestNoProcessFanoutInsideASite:
@@ -286,3 +263,34 @@ class TestNoProcessFanoutInsideASite:
         fanned = thor.run(make_site(domain, seed=3, records=60))
         assert run_digest(fanned) == run_digest(serial)
         assert thor.report().transport == {}
+
+
+class TestRunWithAStore:
+    """A whole ``Thor.run`` gives one digest with no store, into a fresh
+    store and from the filled store, and the store holds no Phase-2
+    kinds afterwards."""
+
+    @pytest.mark.parametrize("domain", ALL_DOMAINS)
+    def test_cold_equals_warm_equals_no_store(self, domain, tmp_path, fresh_caches):
+        from repro.config import ThorConfig
+        from repro.core.thor import Thor
+        from repro.deepweb import make_site
+        from repro.io.export import result_digest as run_digest
+
+        def run(execution):
+            fresh_caches()
+            thor = Thor(ThorConfig(seed=3, execution=execution))
+            result = thor.run(make_site(domain, seed=3, records=60))
+            return run_digest(result), thor.artifact_stats(), len(result.pages)
+
+        no_store, _, _ = run(ExecutionConfig())
+        execution = ExecutionConfig(cache_dir=str(tmp_path))
+        cold, cold_stats, pages = run(execution)
+        warm, warm_stats, _ = run(execution)
+        assert cold == warm == no_store
+        assert cold_stats["hits"] == 0
+        assert warm_stats["hits"] >= pages  # every page signature hits
+        # Every run republishes the site's model slot; nothing else.
+        assert warm_stats["puts"] == 1
+        assert not (tmp_path / "records").exists()
+        assert not (tmp_path / "trees").exists()
